@@ -15,7 +15,6 @@ import io
 import json
 import sys
 from datetime import datetime, timezone
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -87,9 +86,61 @@ def _read_text(path: str) -> str:
 # ---------------------------------------------------------------------------
 # config resolution
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+_OBJ = (lambda v: isinstance(v, dict), "an object")
+_LIST = (lambda v: isinstance(v, list), "a list")
+_STR = (lambda v: isinstance(v, str), "a string")
+_INT = (_is_int, "an integer")
+_INTS = (lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers")
+_BOOLS = (lambda v: isinstance(v, bool) or (isinstance(v, list)
+                                            and all(isinstance(p, bool) for p in v)),
+          "a boolean or a list of booleans")
+_NAMED = (lambda v: isinstance(v, (str, dict)), "a name or an object")
+
+# dotted field path -> the JSON type it must have.  '*' walks list items, a
+# trailing '?' admits null (read as absent), and a parent comes before its
+# children, which are looked up only inside a parent of the right type.
+CONFIG_TYPES = (
+    ("group", _OBJ), ("group.family", _STR), ("group.params", _INTS), ("group.file", _STR),
+    ("lattice", _OBJ), ("lattice.dims", _INTS), ("lattice.periodic", _BOOLS),
+    ("lattice.file", _STR), ("matter?", _OBJ), ("matter.kind", _STR),
+    ("matter.action", _NAMED), ("matter.action.file", _STR), ("matter.actions", _LIST),
+    ("matter.actions.*", _NAMED), ("matter.actions.*.file", _STR),
+    ("matter.flavours", _LIST), ("matter.flavours.*", _OBJ),
+    ("matter.flavours.*.builtin", _STR), ("matter.flavours.*.charge", _INT),
+    ("matter.flavours.*.dim", _INT), ("matter.flavours.*.file", _STR),
+    ("matter.spinor_count", _INT), ("matter.vacuum", _STR), ("twist?", _OBJ),
+    ("twist.endo", _NAMED), ("twist.endo.inner", _INT), ("twist.endo.file", _STR),
+    ("twist.edges?", _INTS), ("twist.wrap_dim?", _INT), ("dangling_attach?", _INTS),
+    ("output", _OBJ), ("output.format", _STR), ("output.path", _STR),
+)
+
+
+def _fields(node, keys: list[str], where: str = ""):
+    """(location, value) of every field at the key path below node."""
+    if not keys:
+        yield where, node
+    elif keys[0] == "*":
+        for i, v in enumerate(node if isinstance(node, list) else ()):
+            yield from _fields(v, keys[1:], f"{where}[{i}]")
+    elif isinstance(node, dict) and keys[0] in node:
+        yield from _fields(node[keys[0]], keys[1:],
+                           f"{where}.{keys[0]}" if where else keys[0])
+
+
+def check_config_types(cfg: dict) -> None:
+    """Reject any config field of the wrong JSON type, before any is used."""
+    for path, (ok, what) in CONFIG_TYPES:
+        for where, value in _fields(cfg, path.rstrip("?").split(".")):
+            if not (ok(value) or (value is None and path.endswith("?"))):
+                raise BadParams(f"config field {where} must be {what}, "
+                                f"got {json.dumps(value)}")
+
+
 def build_group(spec: dict) -> FiniteGroup:
-    if not isinstance(spec, dict):
-        raise BadParams("group spec must be an object")
     if "file" in spec:
         return group_from_text(_read_text(spec["file"]))
     family = spec.get("family")
@@ -100,17 +151,12 @@ def build_group(spec: dict) -> FiniteGroup:
 
 
 def build_lattice(spec: dict) -> tuple[LatticeGraph, frozenset[int]]:
-    if not isinstance(spec, dict):
-        raise BadParams("lattice spec must be an object")
     if "file" in spec:
         return parse_edge_list(_read_text(spec["file"]))
     dims = spec.get("dims")
     if not dims:
         raise BadParams("lattice spec needs 'dims' or 'file'")
-    periodic = spec.get("periodic", True)
-    if isinstance(periodic, list):
-        periodic = tuple(bool(p) for p in periodic)
-    return lattice_hypercubic(tuple(dims), periodic), frozenset()
+    return lattice_hypercubic(dims, spec.get("periodic", True)), frozenset()
 
 
 def _build_flavour(spec: dict, G: FiniteGroup):
@@ -124,9 +170,9 @@ def _build_flavour(spec: dict, G: FiniteGroup):
             raise BadParams("dihedral rotation rep needs an even-order group")
         return dihedral_rotation_rep(G, G.order // 2)
     if builtin == "zn_charge":
-        return one_dim_to_rep(zn_charge_rep(G, int(spec.get("charge", 1))))
+        return one_dim_to_rep(zn_charge_rep(G, spec.get("charge", 1)))
     if builtin == "trivial":
-        return trivial_rep(G, int(spec.get("dim", 1)))
+        return trivial_rep(G, spec.get("dim", 1))
     raise BadParams(f"unknown flavour spec {spec!r}")
 
 
@@ -160,7 +206,7 @@ def build_matter(spec: Optional[dict], G: FiniteGroup, L: LatticeGraph) -> Matte
             raise BadParams("fermion matter needs a nonempty 'flavours' list")
         reps = tuple(_build_flavour(f, G) for f in flavours)
         vacuum = spec.get("vacuum", "trivial")
-        return FermionMatter(reps, int(spec.get("spinor_count", 1)), vacuum)
+        return FermionMatter(reps, spec.get("spinor_count", 1), vacuum)
     raise BadParams(f"unknown matter kind {kind!r}")
 
 
@@ -172,7 +218,7 @@ def _build_endo(spec, G: FiniteGroup) -> GroupEndomorphism:
     if spec == "constant_identity":
         return constant_identity_endo(G)
     if isinstance(spec, dict) and "inner" in spec:
-        return inner_automorphism(G, int(spec["inner"]))
+        return inner_automorphism(G, spec["inner"])
     if isinstance(spec, dict) and "file" in spec:
         return endo_from_text(_read_text(spec["file"]), G)
     raise BadParams(f"unknown endomorphism spec {spec!r}")
@@ -192,9 +238,9 @@ def build_twist(spec: Optional[dict], G: FiniteGroup, L: LatticeGraph,
     if chosen > 1:
         raise BadParams("give exactly one of twist edges, wrap_dim, or file marks")
     if wrap is not None:
-        return twist_on_wrap_edges(L, endo, int(wrap))
+        return twist_on_wrap_edges(L, endo, wrap)
     if edges is not None:
-        return make_twist(L, endo, tuple(int(e) for e in edges))
+        return make_twist(L, endo, edges)
     if file_marked:
         return make_twist(L, endo, file_marked)
     raise BadParams("twist spec selects no links")
@@ -304,6 +350,7 @@ def _load_config(path: Optional[str]) -> dict:
         raise ParseError(f"config is not valid JSON: {e.msg}", e.lineno)
     if not isinstance(cfg, dict):
         raise BadParams("config root must be a JSON object")
+    check_config_types(cfg)
     return cfg
 
 
@@ -312,10 +359,7 @@ def _resolve_job(cfg: dict):
     L, file_marked = build_lattice(cfg.get("lattice", {}))
     matter = build_matter(cfg.get("matter"), G, L)
     twist = build_twist(cfg.get("twist"), G, L, file_marked)
-    attach = cfg.get("dangling_attach")
-    if attach is not None:
-        attach = tuple(int(s) for s in attach)
-    return G, L, matter, twist, attach
+    return G, L, matter, twist, cfg.get("dangling_attach")
 
 
 def cmd_count(args) -> int:
@@ -470,6 +514,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # exact totals may run to any length
     args = _parser().parse_args(argv)
     if args.threads < 1:
         sys.stderr.write("error: --threads must be at least 1\n")

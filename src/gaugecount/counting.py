@@ -1,24 +1,24 @@
 """Exact dimension counting for gauge-invariant Hilbert spaces.
 
-The engine averages the gauge projector over conjugacy classes: on a lattice
-whose untwisted links connect all constrained sites, every site
-transformation is forced into a single conjugacy class C, and the dimension
-collapses to an exact class sum
+The engine averages the gauge projector over site transformations h_x.  A
+link t -> x keeps #{g : h_t g = g phi(h_x)} of its values: |G|/|C| when h_t
+lies in the class C of phi(h_x), and zero otherwise (phi is the identity on
+untwisted links).  Untwisted links thus pin every site of a connected
+component K of the untwisted links to one class C_K, and the dimension is a
+single contraction of exact class sums
 
-    dim = f_free * sum_C (|G|/|C|)^(E - V_bulk) * alpha(C)^|dX|
-              * prod_(bulk sites) chi_x(C) * vacuum(C)
+    dim = sum_{C_K}  prod_links |G|/|C_K(tail)|
+            * prod_x chi_x(C_K(x)) * #{h in C_K(x) : class(phi(h)) = C_K(t)
+                                          for each twisted link t -> x} / |G|
 
-with all arithmetic over exact cyclotomic numbers.  Twisted links route the
-head-site factor of a gauge transformation through an endomorphism phi:
-
-* phi = identity map: the link behaves as untwisted and is normalized away.
-* phi = constant identity (a sink link): the link forces its tail to the
-  identity, restricting the sum to the identity class, and leaves its head
-  unconstrained.  Sites all of whose incidences are sink-link heads are
-  "free": they decouple and contribute f_free factors (1/|G|) sum_g chi(g).
-* any other endomorphism: each head site x of a twisted link keeps only the
-  fraction alpha(C) = #{g in C : phi(g) in C} / |C| of its class choices;
-  dX is the set of such head sites.  For automorphisms alpha is 0 or 1.
+over cyclotomic numbers.  Boundary kinds are data fed to this one sum: a
+sink link (phi = constant identity) forces its tail's component into the
+identity class; a twisted link inside a component weights its head by
+alpha(C) = #{h in C : phi(h) in C} / |C|; a free site (no untwisted link,
+tail of no twisted link, only sink links in) decouples into the factor
+(1/|G|) sum_g chi_x(g); twisted links between components become small
+factor tables, summed out by bucket elimination onto the component of the
+lowest-numbered constrained site, whose classes give the per-class breakdown.
 
 The result must come out a nonnegative integer; anything else raises
 NonIntegralResult with the failed witness attached.
@@ -26,14 +26,15 @@ NonIntegralResult with the failed witness attached.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Optional, Sequence, Union
 
 from .cyclo import Cyclotomic
 from .errors import (
     BadParams,
-    BulkDisconnected,
     GroupMismatch,
     NonIntegralResult,
     OddSitesForStaggered,
@@ -55,19 +56,6 @@ from .matter import (
     one_dim_class_values,
     zn_charge_rep,
 )
-
-
-def _cpow(base: Cyclotomic, k: int) -> Cyclotomic:
-    if k < 0:
-        raise BadParams("negative powers of class-function values are not used")
-    out = Cyclotomic.one()
-    b = base
-    while k:
-        if k & 1:
-            out = out * b
-        b = b * b
-        k >>= 1
-    return out
 
 
 @dataclass(frozen=True)
@@ -105,22 +93,10 @@ class CountReport:
     warnings: tuple[str, ...]
 
 
-def _classify_twist(L: LatticeGraph, twist: Optional[TwistSpec]) -> tuple[str, frozenset[int]]:
-    if twist is None or not twist.edges:
-        return "none", frozenset()
-    phi = twist.endo
-    if phi.is_identity_map():
-        return "none", frozenset()
-    if phi.is_constant_identity():
-        return "sink", twist.edges
-    return "proper", twist.edges
-
-
 def count_general(G: FiniteGroup,
                   classes: ConjugacyClassTable,
                   L: LatticeGraph,
                   site_chars: Union[ClassFunction, Sequence[ClassFunction]],
-                  vacuum_char: Optional[ClassFunction] = None,
                   twist: Optional[TwistSpec] = None,
                   require_nonnegative: bool = True) -> CountReport:
     """Exact gauge-invariant dimension for arbitrary per-site characters.
@@ -142,108 +118,136 @@ def count_general(G: FiniteGroup,
     for ch in chars:
         if not same_group(ch.group, G):
             raise GroupMismatch("site character lives over a different group")
-    if vacuum_char is not None and not same_group(vacuum_char.group, G):
-        raise GroupMismatch("vacuum character lives over a different group")
 
     warnings: list[str] = []
-    kind, twisted = _classify_twist(L, twist)
-    if twist is not None and twist.edges and kind == "none":
-        warnings.append("identity twist normalized to untwisted links")
+    twisted: frozenset[int] = frozenset()
+    if twist is not None and twist.edges:
+        if twist.endo.is_identity_map():
+            warnings.append("identity twist normalized to untwisted links")
+        else:
+            twisted = twist.edges
     for i in sorted(twisted):
         t, h = L.edges[i]
         if t == h:
             warnings.append(f"twisted link {i} is a self-loop")
+    phi = twist.endo.image if twisted else range(G.order)
+    sink = bool(twisted) and twist.endo.is_constant_identity()
+    kind = "sink" if sink else "proper" if twisted else "none"
 
-    # incidence roles per site over twisted links and untwisted links
-    untwisted_touch = [False] * V
-    sink_tail = [False] * V
-    head_sites: set[int] = set()
-    touched = [False] * V
+    n_cls, sizes = classes.n_classes, classes.sizes
+    hits = [[0] * n_cls for _ in range(n_cls)]  # hits[c][d] = #{h in C_c : phi(h) in C_d}
+    for g in range(G.order):
+        hits[classes.class_of[g]][classes.class_of[phi[g]]] += 1
+
+    untwisted = [e for i, e in enumerate(L.edges) if i not in twisted]
+    comps = connected_components(V, untwisted)
+    comp_of = [0] * V
+    for k, members in enumerate(comps):
+        for x in members:
+            comp_of[x] = k
+    linked = [False] * V  # has an untwisted link or is the tail of a twisted one
+    for t, h in untwisted:
+        linked[t] = linked[h] = True
+    out_links = [0] * len(comps)
+    tails_into: dict[int, set[int]] = {}  # head site -> components of its tails
     for i, (t, h) in enumerate(L.edges):
-        touched[t] = touched[h] = True
+        out_links[comp_of[t]] += 1
         if i in twisted:
-            if kind == "sink":
-                sink_tail[t] = True
-            else:
-                head_sites.add(h)
-        else:
-            untwisted_touch[t] = untwisted_touch[h] = True
-
-    free: list[int] = []
-    for x in range(V):
-        if not touched[x]:
-            free.append(x)  # isolated site: unconstrained
-        elif kind == "sink" and not untwisted_touch[x] and not sink_tail[x]:
-            free.append(x)  # every incidence is a sink-link head
+            linked[t] = True
+            tails_into.setdefault(h, set()).add(comp_of[t])
+    # free: no untwisted link, tail of no twisted link, only sink links in
+    free = [x for x in range(V) if not linked[x] and (sink or x not in tails_into)]
     free_set = set(free)
     bulk = [x for x in range(V) if x not in free_set]
-    n_bulk = len(bulk)
 
-    if n_bulk > 1:
-        untwisted_edges = [L.edges[i] for i in range(E) if i not in twisted]
-        comps = connected_components(V, untwisted_edges)
-        bulk_comps = {next(iter(c for c in range(len(comps)) if x in comps[c]))
-                      for x in bulk}
-        if len(bulk_comps) > 1:
-            raise BulkDisconnected(
-                f"constrained sites span {len(bulk_comps)} untwisted components; "
-                "the class-sum reduction needs exactly one")
-
-    n_cls = classes.n_classes
-    id_class = classes.class_of[G.identity]
-
-    alpha: Optional[tuple[Fraction, ...]] = None
-    if kind == "proper":
-        phi = twist.endo
-        avals = []
+    # one factor per twisted head, over its component (none for a free head,
+    # whose sink links ignore its class) and its tails' components, which
+    # must all share one class d; equal factors are merged into a power
+    head_factors = Counter((None if x in free_set else comp_of[x], frozenset(tails))
+                           for x, tails in tails_into.items())
+    # rational weight per component and class: (|G|/|C|)^(links out - sites),
+    # times every factor that involves this component alone
+    weight = [[Fraction(G.order, sizes[c]) ** (out_links[k] - len(comps[k]))
+               for c in range(n_cls)] for k in range(len(comps))]
+    factors: list[tuple[tuple[int, ...], dict]] = []
+    for (head, tails), mult in head_factors.items():
+        scope = tuple(sorted(tails | ({head} if head is not None else set())))
+        table = {}
         for c in range(n_cls):
-            hits = sum(1 for g in classes.members(c)
-                       if classes.class_of[phi.image[g]] == c)
-            avals.append(Fraction(hits, classes.sizes[c]))
-        alpha = tuple(avals)
+            for d in range(n_cls):
+                if hits[c][d] and (head not in tails or c == d):
+                    key = tuple(c if v == head else d for v in scope)
+                    table[key] = Fraction(hits[c][d], sizes[c]) ** mult
+        if len(scope) == 1:
+            weight[scope[0]] = [w * table.get((c,), 0) for c, w in enumerate(weight[scope[0]])]
+        else:
+            factors.append((scope, table))
+
+    zero = Cyclotomic.zero()
+
+    def potential(k: int, c: int) -> Cyclotomic:
+        if weight[k][c] == 0:
+            return zero
+        term = Cyclotomic.rational(weight[k][c])
+        for x in comps[k]:
+            v = chars[x].values[c]
+            if v.is_zero():
+                return zero
+            term = term * v
+        return term
+
+    # sum out every constrained component but the root, fewest neighbours first
+    root = comp_of[bulk[0]] if bulk else None
+    rest = {comp_of[x] for x in bulk} - {root}
+    nbrs: dict[int, set[int]] = {}  # component -> itself and its factor neighbours
+    for s, _ in factors:
+        for v in s:
+            nbrs.setdefault(v, set()).update(s)
+    while rest:
+        k = min(rest, key=lambda j: (len(nbrs.get(j, ())), j))
+        rest.remove(k)
+        bucket = [f for f in factors if k in f[0]]
+        factors = [f for f in factors if k not in f[0]]
+        scope = tuple(sorted({v for s, _ in bucket for v in s} - {k}))
+        pots = [potential(k, c) for c in range(n_cls)]
+        table = {}
+        for key in product(range(n_cls), repeat=len(scope)):
+            at = dict(zip(scope, key))
+            acc = zero
+            for c in range(n_cls):
+                at[k] = c
+                term = pots[c]
+                for s, t in bucket:
+                    if term.is_zero():
+                        break
+                    term = term * t.get(tuple(at[v] for v in s), 0)
+                acc = acc + term
+            if not acc.is_zero():
+                table[key] = acc
+        factors.append((scope, table))
+        for v in scope:
+            nbrs[v] = (nbrs[v] | nbrs[k]) - {k}
 
     # class-independent factor from free sites
     free_factor = Cyclotomic.one()
     for x in free:
         total_x = Cyclotomic.zero()
         for c in range(n_cls):
-            total_x = total_x + classes.sizes[c] * chars[x].values[c]
+            total_x = total_x + sizes[c] * chars[x].values[c]
         free_factor = free_factor * (Fraction(1, G.order) * total_x)
 
     per_class: list[Cyclotomic] = []
-    zero = Cyclotomic.zero()
     for c in range(n_cls):
-        if kind == "sink" and c != id_class and n_bulk > 0:
-            per_class.append(zero)
-            continue
-        scale = Fraction(G.order, classes.sizes[c]) ** (E - n_bulk)
-        if alpha is not None:
-            a = alpha[c] ** len(head_sites)
-            if a == 0:
-                per_class.append(zero)
-                continue
-            scale *= a
-        if n_bulk == 0:
-            per_class.append(zero)
-            continue
-        term = Cyclotomic.rational(scale)
-        if vacuum_char is not None:
-            term = term * vacuum_char.values[c]
-        for x in bulk:
-            v = chars[x].values[c]
-            if v.is_zero():
-                term = zero
-                break
-            term = term * v
+        term = potential(root, c) if root is not None else zero
+        for s, t in factors:
+            term = term * t.get((c,) * len(s), 0)
         per_class.append(term)
 
     total_cyc = zero
     for t in per_class:
         total_cyc = total_cyc + t
-    total_cyc = free_factor * total_cyc
-    if n_bulk == 0:
-        # nothing but free sites (or the empty lattice): only their factor remains
-        total_cyc = free_factor
+    # nothing but free sites (or the empty lattice): only their factor remains
+    total_cyc = free_factor * total_cyc if root is not None else free_factor
 
     rational = total_cyc.is_rational()
     denom = total_cyc.rational_value().denominator if rational else 0
@@ -262,13 +266,14 @@ def count_general(G: FiniteGroup,
         lattice_name=L.name,
         site_count=V,
         edge_count=E,
-        bulk_site_count=n_bulk,
+        bulk_site_count=len(bulk),
         free_sites=tuple(free),
         twist_kind=kind,
-        twisted_head_count=len(head_sites),
+        twisted_head_count=len(tails_into) if kind == "proper" else 0,
         class_sizes=classes.sizes,
         per_class=tuple(per_class),
-        alpha=alpha,
+        alpha=(tuple(Fraction(hits[c][c], sizes[c]) for c in range(n_cls))
+               if kind == "proper" else None),
         free_factor=free_factor,
         witness=witness,
         warnings=tuple(warnings),
@@ -278,62 +283,22 @@ def count_general(G: FiniteGroup,
 # ---------------------------------------------------------------------------
 # matter-specific entry points
 
-def count_pure_gauge(G: FiniteGroup, L: LatticeGraph,
-                     twist: Optional[TwistSpec] = None,
-                     classes: Optional[ConjugacyClassTable] = None) -> CountReport:
-    cls = classes or conjugacy_classes(G)
-    return count_general(G, cls, L, constant_class_function(cls, 1), twist=twist)
-
-
-def count_scalar(G: FiniteGroup, L: LatticeGraph, matter: ScalarMatter,
-                 twist: Optional[TwistSpec] = None,
-                 classes: Optional[ConjugacyClassTable] = None) -> CountReport:
-    cls = classes or conjugacy_classes(G)
-    chi = fixed_point_character(matter.action, cls)
-    return count_general(G, cls, L, chi, twist=twist)
-
-
-def count_scalar_per_site(G: FiniteGroup, L: LatticeGraph,
-                          matter: ScalarMatterPerSite,
-                          twist: Optional[TwistSpec] = None,
-                          classes: Optional[ConjugacyClassTable] = None) -> CountReport:
-    cls = classes or conjugacy_classes(G)
-    chars = [fixed_point_character(a, cls) for a in matter.actions]
-    return count_general(G, cls, L, chars, twist=twist)
+def _flavour_product(matter: FermionMatter, classes: ConjugacyClassTable,
+                     character) -> ClassFunction:
+    """prod_f character(rho_f)^spinor_count, class by class."""
+    total = constant_class_function(classes, 1)
+    for rep in matter.flavours:
+        vals = tuple(v ** matter.spinor_count for v in character(rep).values)
+        total = ClassFunction(classes.group,
+                              tuple(a * b for a, b in zip(total.values, vals)))
+    return total
 
 
 def fermion_sector_character(matter: FermionMatter, classes: ConjugacyClassTable,
                              sign: int = 1) -> ClassFunction:
     """Per-site Fock character prod_f det(1 + sign rho_f)^spinor_count."""
-    total = constant_class_function(classes, 1)
-    for rep in matter.flavours:
-        chi = fermion_site_character(rep, classes, sign=sign)
-        vals = tuple(_cpow(v, matter.spinor_count) for v in chi.values)
-        total = ClassFunction(classes.group,
-                              tuple(a * b for a, b in zip(total.values, vals)))
-    return total
-
-
-def staggered_vacuum_character(matter: FermionMatter, classes: ConjugacyClassTable,
-                               n_sites: int) -> ClassFunction:
-    """Vacuum weight prod_f det(rho_f(C^-1))^(spinor_count * V / 2).
-
-    The staggered vacuum fills every mode on alternating sites; the filled
-    sites contribute the determinant character of the inverse class.  Only
-    the number of filled sites (V/2, whence even V) enters, because the
-    determinant of a representation is a class function.
-    """
-    if n_sites % 2 != 0:
-        raise OddSitesForStaggered(
-            f"staggered vacuum needs an even site count, got {n_sites}")
-    power = matter.spinor_count * (n_sites // 2)
-    total = constant_class_function(classes, 1)
-    for rep in matter.flavours:
-        dchi = det_character(rep, classes, inverse=True)
-        vals = tuple(_cpow(v, power) for v in dchi.values)
-        total = ClassFunction(classes.group,
-                              tuple(a * b for a, b in zip(total.values, vals)))
-    return total
+    return _flavour_product(matter, classes,
+                            lambda rep: fermion_site_character(rep, classes, sign=sign))
 
 
 def fermion_site_characters(matter: FermionMatter, classes: ConjugacyClassTable,
@@ -358,15 +323,28 @@ def fermion_site_characters(matter: FermionMatter, classes: ConjugacyClassTable,
         if n_sites % 2 != 0:
             raise OddSitesForStaggered(
                 f"staggered vacuum needs an even site count, got {n_sites}")
-        sigma = constant_class_function(classes, 1)
-        for rep in matter.flavours:
-            dchi = det_character(rep, classes, inverse=True)
-            vals = tuple(_cpow(v, matter.spinor_count) for v in dchi.values)
-            sigma = ClassFunction(classes.group,
-                                  tuple(a * b for a, b in zip(sigma.values, vals)))
-        filled = dress(sigma)
+        filled = dress(_flavour_product(
+            matter, classes, lambda rep: det_character(rep, classes, inverse=True)))
         return [filled if x % 2 else base for x in range(n_sites)]
     return [base] * n_sites
+
+
+def site_characters(matter: MatterSpec, classes: ConjugacyClassTable,
+                    n_sites: int, sign: int = 1) -> list[ClassFunction]:
+    """The class function of each site's matter space; sign=-1 weights
+    fermion modes by parity."""
+    if isinstance(matter, PureGauge):
+        return [constant_class_function(classes, 1)] * n_sites
+    if isinstance(matter, ScalarMatter):
+        return [fixed_point_character(matter.action, classes)] * n_sites
+    if isinstance(matter, ScalarMatterPerSite):
+        if len(matter.actions) != n_sites:
+            raise BadParams(
+                f"{len(matter.actions)} actions for {n_sites} physical sites")
+        return [fixed_point_character(a, classes) for a in matter.actions]
+    if isinstance(matter, FermionMatter):
+        return fermion_site_characters(matter, classes, n_sites, sign=sign)
+    raise BadParams(f"unknown matter specification {matter!r}")
 
 
 def count_fermion(G: FiniteGroup, L: LatticeGraph, matter: FermionMatter,
@@ -375,7 +353,7 @@ def count_fermion(G: FiniteGroup, L: LatticeGraph, matter: FermionMatter,
                   parity_sign: int = 1) -> CountReport:
     """Fock-space dimension count; parity_sign=-1 weights by fermion parity."""
     cls = classes or conjugacy_classes(G)
-    chars = fermion_site_characters(matter, cls, L.site_count, sign=parity_sign)
+    chars = site_characters(matter, cls, L.site_count, sign=parity_sign)
     return count_general(G, cls, L, chars, twist=twist,
                          require_nonnegative=(parity_sign == 1))
 
@@ -409,7 +387,7 @@ def count(G: FiniteGroup, L: LatticeGraph, matter: MatterSpec,
           twist: Optional[TwistSpec] = None,
           dangling_attach: Optional[Sequence[int]] = None,
           classes: Optional[ConjugacyClassTable] = None) -> CountReport:
-    """Dispatch on the matter specification.
+    """Count for any matter specification.
 
     dangling_attach extends the lattice by one unconstrained virtual site fed
     by sink links from the listed sites; it cannot be combined with an
@@ -421,28 +399,9 @@ def count(G: FiniteGroup, L: LatticeGraph, matter: MatterSpec,
         if twist is not None:
             raise BadParams("dangling boundary and explicit twist are exclusive")
         L, twist = dangling_boundary_extension(L, tuple(dangling_attach), G)
-
-    def pad(chars: list[ClassFunction]) -> list[ClassFunction]:
-        if L.site_count > n_phys:
-            chars = chars + [constant_class_function(cls, 1)] * (L.site_count - n_phys)
-        return chars
-
-    if isinstance(matter, PureGauge):
-        return count_general(G, cls, L, pad([constant_class_function(cls, 1)] * n_phys),
-                             twist=twist)
-    if isinstance(matter, ScalarMatter):
-        chi = fixed_point_character(matter.action, cls)
-        return count_general(G, cls, L, pad([chi] * n_phys), twist=twist)
-    if isinstance(matter, ScalarMatterPerSite):
-        if len(matter.actions) != n_phys:
-            raise BadParams(
-                f"{len(matter.actions)} actions for {n_phys} physical sites")
-        chars = [fixed_point_character(a, cls) for a in matter.actions]
-        return count_general(G, cls, L, pad(chars), twist=twist)
-    if isinstance(matter, FermionMatter):
-        chars = fermion_site_characters(matter, cls, n_phys, sign=1)
-        return count_general(G, cls, L, pad(chars), twist=twist)
-    raise BadParams(f"unknown matter specification {matter!r}")
+    chars = site_characters(matter, cls, n_phys)
+    chars += [constant_class_function(cls, 1)] * (L.site_count - n_phys)
+    return count_general(G, cls, L, chars, twist=twist)
 
 
 def total_hilbert_dim(G: FiniteGroup, L: LatticeGraph, matter: MatterSpec) -> int:

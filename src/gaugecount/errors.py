@@ -72,10 +72,6 @@ class BadDims(GaugeCountError):
     """Invalid lattice dimensions."""
 
 
-class BulkDisconnected(GaugeCountError):
-    """The lattice (with twisted edges removed) is not connected."""
-
-
 class NonIntegralResult(GaugeCountError):
     """A count that must be a non-negative integer came out otherwise."""
 

@@ -160,14 +160,12 @@ def fixed_point_count(A: GroupAction, g: int) -> int:
 
 
 def fixed_point_character(A: GroupAction, classes: ConjugacyClassTable) -> ClassFunction:
-    """Per-class fixed-point counts, verified constant on sampled class members."""
+    """Per-class fixed-point counts, verified constant on every class member."""
     if not same_group(A.group, classes.group):
         raise GroupMismatch("action and class table use different groups")
     values = []
     for c in range(classes.n_classes):
-        members = classes.members(c)
-        sample = members[:3]
-        counts = [fixed_point_count(A, g) for g in sample]
+        counts = [fixed_point_count(A, g) for g in classes.members(c)]
         if len(set(counts)) != 1:
             raise ClassInconsistency(
                 f"fixed-point count varies inside class {c}: {counts}")
@@ -338,6 +336,8 @@ def rep_from_generator_images(G: FiniteGroup, images: Sequence[Sequence[Sequence
 
 
 def trivial_rep(G: FiniteGroup, dim: int = 1) -> UnitaryRep:
+    if dim < 1:
+        raise BadParams(f"representation dimension must be positive, got {dim}")
     eye = mat_identity_exact(dim)
     return rep_from_exact(G, (eye,) * G.order)
 
@@ -534,7 +534,7 @@ def one_dim_class_values(chi: OneDimRep, classes: ConjugacyClassTable) -> ClassF
     vals = []
     for c, r in enumerate(classes.reps):
         v = chi.values[r]
-        for g in classes.members(c)[:3]:
+        for g in classes.members(c):
             if chi.values[g] != v:
                 raise ClassInconsistency(f"one-dim values vary inside class {c}")
         vals.append(v)

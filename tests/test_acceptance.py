@@ -13,7 +13,6 @@ from fractions import Fraction
 import pytest
 
 from gaugecount import (
-    BulkDisconnected,
     ClassFunction,
     Cyclotomic,
     FermionMatter,
@@ -36,7 +35,6 @@ from gaugecount import (
     count,
     count_fermion_parity_split,
     count_general,
-    count_pure_gauge,
     count_zn_closed_form,
     cyclic_group,
     dangling_boundary_extension,
@@ -118,7 +116,6 @@ def _noncentral_element(G):
 @pytest.fixture(scope="module")
 def grid_results():
     runs = []
-    preconditions = 0
     t0 = time.monotonic()
     for G in _grid_groups():
         rep = _faithful_rep(G)
@@ -141,26 +138,21 @@ def grid_results():
                 for tw in twists:
                     label = (G.name, L.name, type(matter).__name__,
                              "none" if tw is None else "twist")
-                    try:
-                        report = count(G, L, matter, twist=tw)
-                    except BulkDisconnected:
-                        preconditions += 1
-                        continue
+                    report = count(G, L, matter, twist=tw)
                     oracle = oracle_count(G, L, matter, twist=tw)
                     runs.append((label, report.total, oracle, report.witness))
-    return runs, preconditions, time.monotonic() - t0
+    return runs, time.monotonic() - t0
 
 
 def test_criterion_1_formula_matches_oracle_grid(grid_results, capsys):
-    runs, preconditions, elapsed = grid_results
+    runs, elapsed = grid_results
     bad = [(label, e, o) for label, e, o, _ in runs if e != o]
     assert bad == []
     assert len(runs) >= 300
     assert elapsed < 300
     _say(capsys, f"PASS criterion 1: formula == element oracle on {len(runs)} "
                  f"group/lattice/matter/twist combinations "
-                 f"({preconditions} disconnected-bulk preconditions raised), "
-                 f"{elapsed:.1f}s")
+                 f"(disconnected bulk included, none skipped), {elapsed:.1f}s")
 
 
 # ---------------------------------------------------------------------------
@@ -347,15 +339,15 @@ def test_criterion_5_invariants(capsys):
             assert chi.values[cls.inverse_class[c]] == v.conjugate()
 
         # trees confine everything to a single invariant
-        assert count_pure_gauge(G, lattice_chain(4)).total == 1
+        assert count(G, lattice_chain(4), PureGauge()).total == 1
         # zero-deficit periodic chains count conjugacy classes
-        assert count_pure_gauge(G, lattice_chain(3, periodic=True)).total \
+        assert count(G, lattice_chain(3, periodic=True), PureGauge()).total \
             == cls.n_classes
         # identity twists never change the answer
         L = lattice_chain(2, periodic=True)
         tw = make_twist(L, identity_endo(G), [1])
-        assert count_pure_gauge(G, L, twist=tw).total \
-            == count_pure_gauge(G, L).total
+        assert count(G, L, PureGauge(), twist=tw).total \
+            == count(G, L, PureGauge()).total
 
     # parity sectors assemble into the plain trace
     for G in (quaternion_group(), dihedral_group(4)):
@@ -437,7 +429,7 @@ def test_criterion_6_randomized_structure_theorems(capsys):
 # criterion 7: integrality witnesses
 
 def test_criterion_7_integrality(grid_results, capsys):
-    runs, _, _ = grid_results
+    runs, _ = grid_results
     assert all(w.passed for _, _, _, w in runs)
     assert all(w.denominator == 1 and w.is_rational for _, _, _, w in runs)
 

@@ -1,6 +1,7 @@
 """Command-line interface: configs, formats, exit codes, file inputs."""
 
 import json
+import sys
 
 import pytest
 
@@ -374,14 +375,66 @@ def test_malformed_lattice_file_reports_line(tmp_path, capsys):
     assert "ParseError" in err and "line 3" in err
 
 
-def test_disconnected_bulk_names_validator(tmp_path, capsys):
+def test_disconnected_bulk_formula_matches_oracle(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "group": {"family": "cyclic", "params": [4]},
         "lattice": {"dims": [2], "periodic": False},
         "twist": {"endo": "inversion", "edges": [0]},
     })
-    assert main(["count", "--config", cfg]) == 2
-    assert "BulkDisconnected" in capsys.readouterr().err
+    assert main(["count", "--config", cfg]) == 0
+    assert "total: 1" in capsys.readouterr().out
+    assert main(["verify", "--config", cfg]) == 0
+    assert "OK: formula=1 oracle=1" in capsys.readouterr().out
+
+
+@pytest.fixture
+def restore_int_str_limit():
+    if not hasattr(sys, "get_int_max_str_digits"):  # Python < 3.10.7: no limit
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+def test_totals_past_the_int_str_limit(tmp_path, capsys, restore_int_str_limit):
+    # 15000 parallel Z2 links between two sites: 2^14999, 4516 digits
+    lat = tmp_path / "bundle.lat"
+    lat.write_text("lattice 2\n" + "0 1\n" * 15000)
+    cfg = write_config(tmp_path, {
+        "group": {"family": "cyclic", "params": [2]},
+        "lattice": {"file": str(lat)},
+    })
+    assert main(["count", "--config", cfg, "--format", "json",
+                 "--no-timestamp"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    expected = str(2 ** 14999)
+    assert len(expected) > 4300
+    assert payload["result"]["total"] == expected
+    assert main(["count", "--config", cfg, "--format", "text"]) == 0
+    assert f"total: {expected}\n" in capsys.readouterr().out
+    assert main(["count", "--config", cfg, "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].endswith("," + expected)
+    assert main(["verify", "--config", cfg]) == 0
+    assert capsys.readouterr().out == f"OK: formula={expected} oracle={expected}\n"
+
+
+@pytest.mark.parametrize("field", [
+    {"group": {"family": "cyclic", "params": ["x"]}},
+    {"lattice": {"dims": ["a"]}},
+    {"matter": {"kind": "fermion",
+                "flavours": [{"builtin": "zn_charge", "charge": "q"}]}},
+    {"matter": "fermion"},
+    {"dangling_attach": ["z"]},
+    {"twist": {"endo": "inversion", "wrap_dim": "k"}},
+])
+def test_malformed_config_fields_exit_2(tmp_path, capsys, field):
+    cfg = dict({"group": {"family": "cyclic", "params": [4]},
+                "lattice": {"dims": [2]}}, **field)
+    assert main(["count", "--config", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: BadParams: config field ")
+    assert err.count("\n") == 1
 
 
 def test_lattice_make_stdout(capsys):

@@ -1,12 +1,12 @@
 """Exact counting engine: hand values, twists, boundaries, integrality."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from gaugecount import (
     BadParams,
-    BulkDisconnected,
     ClassFunction,
     Cyclotomic,
     FermionMatter,
@@ -21,16 +21,15 @@ from gaugecount import (
     action_coset,
     action_left_mult,
     action_trivial,
+    burnside_count,
     conjugacy_classes,
+    connected_components,
     constant_class_function,
     constant_identity_endo,
     count,
     count_fermion,
     count_fermion_parity_split,
     count_general,
-    count_pure_gauge,
-    count_scalar,
-    count_scalar_per_site,
     count_zn_closed_form,
     cyclic_group,
     dangling_boundary_extension,
@@ -38,12 +37,16 @@ from gaugecount import (
     dihedral_rotation_rep,
     fermion_site_characters,
     first_proper_subgroup,
+    fixed_point_character,
+    fixed_point_count,
     identity_endo,
+    inner_automorphism,
     inversion_endo,
     lattice_chain,
     lattice_hypercubic,
     make_twist,
     one_dim_to_rep,
+    oracle_count,
     quaternion_group,
     su2_fundamental_rep,
     symmetric_group,
@@ -58,7 +61,7 @@ def test_pure_gauge_periodic_chain_counts_classes():
     # E - V = 0 on a periodic chain, so the sum collapses to one per class
     for G, n_cls in ((symmetric_group(3), 3), (cyclic_group(4), 4),
                      (dihedral_group(4), 5)):
-        r = count_pure_gauge(G, lattice_chain(2, periodic=True))
+        r = count(G, lattice_chain(2, periodic=True), PureGauge())
         assert r.total == n_cls
         assert conjugacy_classes(G).n_classes == n_cls
         assert r.witness.passed and r.twist_kind == "none"
@@ -69,38 +72,38 @@ def test_pure_gauge_tree_is_one():
         for L in (lattice_chain(3), lattice_chain(5),
                   lattice_hypercubic((2, 2), periodic=False)):
             if L.edge_count == L.site_count - 1:
-                assert count_pure_gauge(G, L).total == 1
+                assert count(G, L, PureGauge()).total == 1
 
 
 def test_pure_gauge_torus_values():
-    assert count_pure_gauge(cyclic_group(2),
-                            lattice_hypercubic((2, 2))).total == 32
-    assert count_pure_gauge(symmetric_group(3),
-                            lattice_hypercubic((1, 1))).total == 11
+    assert count(cyclic_group(2), lattice_hypercubic((2, 2)),
+                 PureGauge()).total == 32
+    assert count(symmetric_group(3), lattice_hypercubic((1, 1)),
+                 PureGauge()).total == 11
 
 
 def test_empty_lattice_counts_one():
-    r = count_pure_gauge(symmetric_group(3), LatticeGraph(0, ()))
+    r = count(symmetric_group(3), LatticeGraph(0, ()), PureGauge())
     assert r.total == 1 and r.bulk_site_count == 0
 
 
 def test_scalar_left_mult_chain():
     S3 = symmetric_group(3)
-    r = count_scalar(S3, lattice_chain(2), ScalarMatter(action_left_mult(S3)))
+    r = count(S3, lattice_chain(2), ScalarMatter(action_left_mult(S3)))
     assert r.total == 6
 
 
 def test_scalar_coset_chain():
     D4 = dihedral_group(4)
     H = first_proper_subgroup(D4)
-    r = count_scalar(D4, lattice_chain(2), ScalarMatter(action_coset(D4, H)))
+    r = count(D4, lattice_chain(2), ScalarMatter(action_coset(D4, H)))
     assert r.total == 2
 
 
 def test_scalar_per_site():
     S3 = symmetric_group(3)
     m = ScalarMatterPerSite((action_left_mult(S3), action_trivial(S3, 2)))
-    assert count_scalar_per_site(S3, lattice_chain(2), m).total == 2
+    assert count(S3, lattice_chain(2), m).total == 2
     with pytest.raises(BadParams):
         count(S3, lattice_chain(3), m)
 
@@ -182,7 +185,7 @@ def test_identity_twist_is_normalized():
     S3 = symmetric_group(3)
     L = lattice_chain(2, periodic=True)
     tw = make_twist(L, identity_endo(S3), [1])
-    r = count_pure_gauge(S3, L, twist=tw)
+    r = count(S3, L, PureGauge(), twist=tw)
     assert r.total == 3 and r.twist_kind == "none"
     assert any("identity twist" in w for w in r.warnings)
 
@@ -191,7 +194,7 @@ def test_sink_twist_frees_head_site():
     Z3 = cyclic_group(3)
     L = lattice_chain(2)
     tw = make_twist(L, constant_identity_endo(Z3), [0])
-    r = count_pure_gauge(Z3, L, twist=tw)
+    r = count(Z3, L, PureGauge(), twist=tw)
     assert r.total == 1
     assert r.twist_kind == "sink" and r.free_sites == (1,)
 
@@ -211,7 +214,7 @@ def test_inversion_twist_alpha_and_total():
     Z4 = cyclic_group(4)
     L = lattice_chain(2, periodic=True)
     tw = twist_on_wrap_edges(L, inversion_endo(Z4), 0)
-    r = count_pure_gauge(Z4, L, twist=tw)
+    r = count(Z4, L, PureGauge(), twist=tw)
     assert r.total == 2
     assert r.twist_kind == "proper" and r.twisted_head_count == 1
     assert r.alpha == (Fraction(1), Fraction(0), Fraction(1), Fraction(0))
@@ -221,17 +224,52 @@ def test_twisted_self_loop_warns():
     Z3 = cyclic_group(3)
     L = lattice_hypercubic((1,), periodic=True)
     tw = make_twist(L, inversion_endo(Z3), [0])
-    r = count_pure_gauge(Z3, L, twist=tw)
+    r = count(Z3, L, PureGauge(), twist=tw)
     assert r.total == 1
     assert any("self-loop" in w for w in r.warnings)
 
 
-def test_disconnected_bulk_is_rejected():
+def test_disconnected_bulk_matches_oracle():
+    # both sites are constrained, each in its own untwisted component
     Z4 = cyclic_group(4)
     L = lattice_chain(2)
     tw = make_twist(L, inversion_endo(Z4), [0])
-    with pytest.raises(BulkDisconnected):
-        count_pure_gauge(Z4, L, twist=tw)
+    r = count(Z4, L, PureGauge(), twist=tw)
+    assert r.total == oracle_count(Z4, L, PureGauge(), twist=tw) == 1
+    assert r.bulk_site_count == 2 and r.free_sites == ()
+
+
+def test_random_multigraphs_match_burnside_oracle():
+    rng = random.Random(2173)
+    groups = (cyclic_group(2), cyclic_group(3), cyclic_group(4),
+              symmetric_group(3), dihedral_group(4), quaternion_group())
+    cases = []
+    for G in groups:
+        endos = [identity_endo(G), constant_identity_endo(G)]
+        endos += [inner_automorphism(G, h) for h in range(G.order)]
+        if G.is_abelian():
+            endos.append(inversion_endo(G))
+        actions = [action_left_mult(G), action_trivial(G, 1), action_trivial(G, 2),
+                   action_coset(G, first_proper_subgroup(G))]
+        cases.append((G, conjugacy_classes(G), endos, actions))
+    multi = 0
+    for _ in range(400):
+        G, cls, endos, actions = rng.choice(cases)
+        V = rng.randint(1, 4)
+        edges = tuple((rng.randrange(V), rng.randrange(V))
+                      for _ in range(rng.randint(0, 5)))
+        L = LatticeGraph(V, edges)
+        tw = make_twist(L, rng.choice(endos),
+                        [i for i in range(len(edges)) if rng.random() < 0.5])
+        site_actions = [rng.choice(actions) for _ in range(V)]
+        chars = [fixed_point_character(a, cls) for a in site_actions]
+        rows = [[fixed_point_count(a, g) for g in range(G.order)]
+                for a in site_actions]
+        assert (count_general(G, cls, L, chars, twist=tw).total
+                == burnside_count(G, L, rows, twist=tw)), (G.name, edges, tw)
+        untwisted = [e for i, e in enumerate(edges) if i not in tw.edges]
+        multi += len(connected_components(V, untwisted)) > 1
+    assert multi >= 200
 
 
 def test_zn_closed_forms_match_engine():
@@ -314,7 +352,7 @@ def test_group_mismatch_is_rejected():
                       constant_class_function(cls3, 1))
     tw = make_twist(lattice_chain(2, periodic=True), inversion_endo(Z3), [1])
     with pytest.raises(GroupMismatch):
-        count_pure_gauge(S3, lattice_chain(2, periodic=True), twist=tw)
+        count(S3, lattice_chain(2, periodic=True), PureGauge(), twist=tw)
 
 
 def test_site_character_count_must_match():
@@ -333,9 +371,6 @@ def test_unknown_matter_is_rejected():
 def test_count_dispatch_matches_direct_entry_points():
     D4 = dihedral_group(4)
     L = lattice_chain(2, periodic=True)
-    assert count(D4, L, PureGauge()).total == count_pure_gauge(D4, L).total
-    sm = ScalarMatter(action_coset(D4, first_proper_subgroup(D4)))
-    assert count(D4, L, sm).total == count_scalar(D4, L, sm).total
     fm = FermionMatter(flavours=(dihedral_rotation_rep(D4, 4),),
                        spinor_count=1, vacuum="trivial")
     assert count(D4, L, fm).total == count_fermion(D4, L, fm).total
@@ -343,7 +378,7 @@ def test_count_dispatch_matches_direct_entry_points():
 
 def test_report_structure():
     S3 = symmetric_group(3)
-    r = count_pure_gauge(S3, lattice_chain(2, periodic=True))
+    r = count(S3, lattice_chain(2, periodic=True), PureGauge())
     assert len(r.per_class) == len(r.class_sizes) == 3
     assert r.free_factor == Cyclotomic.one()
     assert r.site_count == 2 and r.edge_count == 2 and r.bulk_site_count == 2

@@ -138,6 +138,16 @@ def test_fixed_point_character_detects_inconsistency():
     with pytest.raises(ClassInconsistency):
         fixed_point_character(bad, cls)
 
+    # a corruption past the third member of the six transpositions of S4
+    S4 = symmetric_group(4)
+    cls4 = conjugacy_classes(S4)
+    c = next(c for c in range(cls4.n_classes) if cls4.sizes[c] == 6
+             and S4.element_order(cls4.reps[c]) == 2)
+    rows = list(action_left_mult(S4).table)
+    rows[cls4.members(c)[-1]] = tuple(range(S4.order))
+    with pytest.raises(ClassInconsistency):
+        fixed_point_character(GroupAction(S4, S4.order, tuple(rows)), cls4)
+
 
 # ---------------------------------------------------------------------------
 # exact matrices
@@ -283,6 +293,8 @@ def test_one_dim_to_rep_and_trivial():
     assert rep.dim == 1 and rep.is_exact
     assert trivial_one_dim(G).values == (Cyclotomic.one(),) * 3
     assert trivial_rep(G, 2).dim == 2
+    with pytest.raises(BadParams):
+        trivial_rep(G, 0)
 
 
 def test_one_dim_class_values_detects_inconsistency():
@@ -295,6 +307,16 @@ def test_one_dim_class_values_detects_inconsistency():
     broken = OneDimRep(G, tuple(vals))
     with pytest.raises(ClassInconsistency):
         one_dim_class_values(broken, cls)
+
+    # a corruption past the third member of the six transpositions of S4
+    S4 = symmetric_group(4)
+    cls4 = conjugacy_classes(S4)
+    c = next(c for c in range(cls4.n_classes) if cls4.sizes[c] == 6
+             and S4.element_order(cls4.reps[c]) == 2)
+    vals = list(trivial_one_dim(S4).values)
+    vals[cls4.members(c)[-1]] = Cyclotomic.rational(-1)
+    with pytest.raises(ClassInconsistency):
+        one_dim_class_values(OneDimRep(S4, tuple(vals)), cls4)
 
 
 # ---------------------------------------------------------------------------

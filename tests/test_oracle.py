@@ -24,7 +24,6 @@ from gaugecount import (
     action_trivial,
     burnside_count,
     count,
-    count_scalar_per_site,
     cyclic_group,
     dihedral_group,
     dihedral_rotation_rep,
@@ -282,7 +281,7 @@ def test_free_action_closed_form_matches_engine_and_oracle():
     closed = free_action_closed_form(S3, L, acts)
     assert closed == 6 * 1 * 2
     m = ScalarMatterPerSite(acts)
-    assert count_scalar_per_site(S3, L, m).total == closed
+    assert count(S3, L, m).total == closed
     assert oracle_count(S3, L, m) == closed
     with pytest.raises(BadParams):
         free_action_closed_form(S3, lattice_chain(3), acts)
