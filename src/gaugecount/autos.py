@@ -1,10 +1,12 @@
 """Endomorphisms and automorphisms of finite groups.
 
-Automorphism enumeration searches over generator images filtered by element
-order and centralizer size, builds each candidate map by breadth-first word
-expansion, and verifies multiplicativity on all (element, generator) pairs,
-which forces it everywhere.  The search budget caps the weighted work; an
-exhausted budget marks the result incomplete rather than raising.
+Multiplicativity is checked by `groups.law_break` on every (element,
+generator) pair, which forces it everywhere; `is_endomorphism` and every
+candidate of the automorphism search go through it.  The search tries
+images of the group's stored generators, filtered by element order and
+centralizer size, and extends each with `groups.extend_generator_images`.
+The search budget caps the weighted work; an exhausted budget marks the
+result incomplete rather than raising.
 """
 
 from __future__ import annotations
@@ -22,7 +24,15 @@ from .errors import (
     NotAnAutomorphism,
     ParseError,
 )
-from .groups import ConjugacyClassTable, FiniteGroup, center, same_group
+from .groups import (
+    ConjugacyClassTable,
+    FiniteGroup,
+    center,
+    centralizer_order,
+    extend_generator_images,
+    law_break,
+    same_group,
+)
 
 DEFAULT_AUT_BUDGET = 10_000_000
 
@@ -49,13 +59,7 @@ def is_endomorphism(G: FiniteGroup, image: Sequence[int]) -> bool:
     n = G.order
     if len(image) != n or any(not 0 <= v < n for v in image):
         return False
-    for a in range(n):
-        fa = image[a]
-        row = G.mul_table[a]
-        for b in range(n):
-            if G.mul(fa, image[b]) != image[row[b]]:
-                return False
-    return True
+    return law_break(G, image, G.mul) is None
 
 
 def endo_from_image(G: FiniteGroup, image: Sequence[int]) -> GroupEndomorphism:
@@ -132,31 +136,6 @@ def class_image(phi: GroupEndomorphism, classes: ConjugacyClassTable) -> tuple[i
 # ---------------------------------------------------------------------------
 # automorphism enumeration
 
-def greedy_generating_set(G: FiniteGroup) -> tuple[int, ...]:
-    """Small generating set found by greedily extending the generated subgroup."""
-    gens: list[int] = []
-    reached = {G.identity}
-    while len(reached) < G.order:
-        g = next(x for x in range(G.order) if x not in reached)
-        gens.append(g)
-        frontier = list(reached)
-        reached.add(g)
-        queue = [g]
-        while queue:
-            x = queue.pop()
-            for h in gens:
-                for y in (G.mul(x, h), G.mul(h, x)):
-                    if y not in reached:
-                        reached.add(y)
-                        queue.append(y)
-            for f in frontier:
-                for y in (G.mul(x, f), G.mul(f, x)):
-                    if y not in reached:
-                        reached.add(y)
-                        queue.append(y)
-    return tuple(gens)
-
-
 @dataclass(frozen=True)
 class AutomorphismSearch:
     """Enumerated automorphisms plus a completeness flag and work counter."""
@@ -166,41 +145,14 @@ class AutomorphismSearch:
     work: int
 
 
-def _extend_generator_images(G: FiniteGroup, gens: tuple[int, ...],
-                             images: tuple[int, ...]) -> Optional[tuple[int, ...]]:
-    """Map gens -> images extended over all of G, or None if inconsistent."""
-    n = G.order
-    mapping: list[int] = [-1] * n
-    mapping[G.identity] = G.identity
-    frontier = [G.identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for gi, g in enumerate(gens):
-                y = G.mul(x, g)
-                if mapping[y] < 0:
-                    mapping[y] = G.mul(mapping[x], images[gi])
-                    nxt.append(y)
-        frontier = nxt
-    if any(v < 0 for v in mapping):
-        return None
-    for gi, g in enumerate(gens):
-        img = images[gi]
-        for x in range(n):
-            if G.mul(mapping[x], img) != mapping[G.mul(x, g)]:
-                return None
-    return tuple(mapping)
-
-
 def enumerate_automorphisms(G: FiniteGroup,
                             budget: int = DEFAULT_AUT_BUDGET) -> AutomorphismSearch:
     """All automorphisms (deterministic order); incomplete when budget runs out."""
     n = G.order
-    gens = G.generators if G.generators else greedy_generating_set(G)
+    gens = G.generators
     if not gens:  # trivial group
         return AutomorphismSearch((identity_endo(G),), True, 1)
     orders = [G.element_order(x) for x in range(n)]
-    from .groups import centralizer_order
     cents = [centralizer_order(G, x) for x in range(n)]
     candidates = [
         tuple(x for x in range(n) if orders[x] == orders[g] and cents[x] == cents[g])
@@ -215,10 +167,10 @@ def enumerate_automorphisms(G: FiniteGroup,
             complete = False
             break
         work += leaf_cost
-        mapping = _extend_generator_images(G, gens, images)
+        mapping = extend_generator_images(G, images, G.mul, G.identity)
         if mapping is None or len(set(mapping)) != n:
             continue
-        found.append(mapping)
+        found.append(tuple(mapping))
     found.sort()
     autos = tuple(GroupEndomorphism(G, m) for m in found)
     return AutomorphismSearch(autos, complete, work)

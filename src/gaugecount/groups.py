@@ -2,16 +2,17 @@
 
 Element 0 is the identity for every group constructed here; groups loaded
 from files may place the identity elsewhere and record it in `identity`.
-Conjugacy classes are ordered with the identity class first and the rest
-ascending by their smallest element index, so all derived tables are
-deterministic.
+Every group carries a verified generating set, and every group law is
+checked by `law_break` over it: exhaustively, in O(|G| * |generators|)
+steps; for associativity this is Light's test (Clifford & Preston, The
+Algebraic Theory of Semigroups I, section 1.2).  Conjugacy classes are
+ordered with the identity class first and the rest ascending by their
+smallest element index, so all derived tables are deterministic.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -27,21 +28,17 @@ from .errors import (
     UnknownFamily,
 )
 
-ASSOC_EXHAUSTIVE_MAX = 200
-ASSOC_SAMPLE_COUNT = 100_000
-_ASSOC_SEED = 0x5EED
-
 
 @dataclass(frozen=True)
 class FiniteGroup:
-    """A finite group given by its full multiplication table."""
+    """A finite group given by its full multiplication table; `generators` generate it."""
 
     order: int
     mul_table: tuple[tuple[int, ...], ...]
     inv_table: tuple[int, ...]
     identity: int
     labels: tuple[str, ...]
-    generators: Optional[tuple[int, ...]] = None
+    generators: tuple[int, ...]
     name: str = "G"
 
     def mul(self, a: int, b: int) -> int:
@@ -68,12 +65,61 @@ class FiniteGroup:
         t = self.mul_table
         return all(t[a][b] == t[b][a] for a in range(self.order) for b in range(a))
 
+    @functools.cached_property
+    def generator_tree(self) -> list[tuple[int, int, int]]:
+        """Steps (y, x, i) with y = x * generators[i]: a breadth-first tree
+        from the identity that reaches every other element once."""
+        return _spanning_steps(self.mul_table, self.identity, self.generators)
+
     def __repr__(self):
         return f"FiniteGroup({self.name}, order={self.order})"
 
 
 def same_group(a: FiniteGroup, b: FiniteGroup) -> bool:
     return a is b or (a.order == b.order and a.mul_table == b.mul_table)
+
+
+# ---------------------------------------------------------------------------
+# the group-law check over generators
+
+def law_break(G: FiniteGroup, f: Sequence, op: Callable) -> Optional[tuple[int, int]]:
+    """First (x, s) with f[x*s] != op(f[x], f[s]), or None when there is none.
+
+    s runs over G.generators and the identity, x over all of G.  The s that
+    pass for every x are closed under products, and the generators generate
+    G, so this accepts exactly the maps that pass on all pairs: for an
+    associative op that is multiplicativity, and for f = the table's rows
+    under `compose_maps` it is Light's associativity test.
+    """
+    t = G.mul_table
+    for s in G.generators + (G.identity,):
+        fs = f[s]
+        for x in range(G.order):
+            if f[t[x][s]] != op(f[x], fs):
+                return x, s
+    return None
+
+
+def compose_maps(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
+    """The map y -> p[q[y]], as a tuple."""
+    return tuple(map(p.__getitem__, q))
+
+
+def extend_generator_images(G: FiniteGroup, images: Sequence, op: Callable,
+                            one) -> Optional[list]:
+    """The map f with f[identity] = one, f[g] = image of each generator g and
+    f[x*s] = op(f[x], f[s]), or None when the images admit no such map.
+
+    Built along `G.generator_tree` and checked by `law_break`; `one` must be
+    an identity for op.
+    """
+    f = [one] * G.order
+    for y, x, i in G.generator_tree:
+        f[y] = op(f[x], images[i])
+    # a generator repeated or equal to the identity is reached before its image is used
+    if any(f[g] != img for g, img in zip(G.generators, images)):
+        return None
+    return f if law_break(G, f, op) is None else None
 
 
 # ---------------------------------------------------------------------------
@@ -87,8 +133,8 @@ def _check_latin_square(table: Sequence[Sequence[int]]) -> None:
             raise NotAGroup(f"row {i} has length {len(row)}, expected {n}")
         if frozenset(row) != full:
             raise NotAGroup(f"row {i} is not a permutation of 0..{n - 1}")
-    for j in range(n):
-        if frozenset(table[i][j] for i in range(n)) != full:
+    for j, column in enumerate(zip(*table)):
+        if frozenset(column) != full:
             raise NotAGroup(f"column {j} is not a permutation of 0..{n - 1}")
 
 
@@ -100,64 +146,84 @@ def _find_identity(table: Sequence[Sequence[int]]) -> int:
     raise NotAGroup("no identity element")
 
 
-def _check_associativity(table: Sequence[Sequence[int]]) -> None:
-    n = len(table)
-    if n <= ASSOC_EXHAUSTIVE_MAX:
-        triples = itertools.product(range(n), repeat=3)
-    else:
-        rng = random.Random(_ASSOC_SEED)
-        triples = (
-            (rng.randrange(n), rng.randrange(n), rng.randrange(n))
-            for _ in range(ASSOC_SAMPLE_COUNT)
-        )
-    for a, b, c in triples:
-        if table[table[a][b]][c] != table[a][table[b][c]]:
-            raise NotAGroup(f"associativity fails at ({a}, {b}, {c})")
+def _spanning_steps(table: Sequence[Sequence[int]], e: int,
+                    gens: Sequence[int]) -> list[tuple[int, int, int]]:
+    """Breadth-first search from e by right multiplication with gens: one step
+    (y, x, i) with y = x * gens[i] for each element reached after e."""
+    steps = []
+    seen = {e}
+    queue = [e]
+    for x in queue:
+        row = table[x]
+        for i, g in enumerate(gens):
+            y = row[g]
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+                steps.append((y, x, i))
+    return steps
+
+
+def _greedy_generating_set(table: Sequence[Sequence[int]], e: int) -> tuple[int, ...]:
+    """Add the first element outside the generated subgroup until none is left."""
+    gens: list[int] = []
+    reached = {e}
+    while len(reached) < len(table):
+        gens.append(next(x for x in range(len(table)) if x not in reached))
+        reached = {e}.union(y for y, _, _ in _spanning_steps(table, e, gens))
+    return tuple(gens)
 
 
 def validate_table(table: Sequence[Sequence[int]]) -> tuple[int, tuple[int, ...]]:
     """Check the group axioms; return (identity, inverse table)."""
-    if not table:
-        raise NotAGroup("empty table")
-    _check_latin_square(table)
-    e = _find_identity(table)
-    inv = [0] * len(table)
-    for a, row in enumerate(table):
-        inv[a] = row.index(e)
-        if table[inv[a]][a] != e:
-            raise NotAGroup(f"element {a} has no two-sided inverse")
-    _check_associativity(table)
-    return e, tuple(inv)
+    G = group_from_table(table)
+    return G.identity, G.inv_table
 
 
 def group_from_table(
     table: Sequence[Sequence[int]],
     labels: Optional[Sequence[str]] = None,
-    generators: Optional[Sequence[int]] = None,
+    generators: Sequence[int] = (),
     name: str = "G",
 ) -> FiniteGroup:
-    e, inv = validate_table(table)
+    """Check the group axioms and wrap the table as a FiniteGroup.
+
+    Given generators must generate the group (BadParams otherwise); with
+    none, a greedy generating set is chosen.  Associativity is checked on
+    every triple, by Light's test over the generators.
+    """
+    if not table:
+        raise NotAGroup("empty table")
+    table = tuple(tuple(row) for row in table)
+    _check_latin_square(table)
+    e = _find_identity(table)
     n = len(table)
+    inv = tuple(row.index(e) for row in table)
+    for a in range(n):
+        if table[inv[a]][a] != e:
+            raise NotAGroup(f"element {a} has no two-sided inverse")
     if labels is None:
         labels = tuple(f"g{i}" for i in range(n))
     elif len(labels) != n:
         raise BadParams(f"{len(labels)} labels for {n} elements")
-    return FiniteGroup(
-        order=n,
-        mul_table=tuple(tuple(row) for row in table),
-        inv_table=inv,
-        identity=e,
-        labels=tuple(labels),
-        generators=tuple(generators) if generators is not None else None,
-        name=name,
-    )
+    gens = tuple(generators) or _greedy_generating_set(table, e)
+    G = FiniteGroup(n, table, inv, e, tuple(labels), gens, name)
+    if any(not 0 <= g < n for g in gens) or len(G.generator_tree) != n - 1:
+        raise BadParams(f"generators {gens} do not generate the group")
+    bad = law_break(G, table, compose_maps)
+    if bad is not None:
+        a, b = bad
+        c = next(c for c in range(n) if table[table[a][b]][c] != table[a][table[b][c]])
+        raise NotAGroup(f"associativity fails at ({a}, {b}, {c})")
+    return G
 
 
 # ---------------------------------------------------------------------------
 # generic closure construction
 
 def _generated_elements(gens: Sequence, mul: Callable, max_order: int):
-    """BFS closure with the identity first; returns (elems, parent links)."""
+    """BFS closure with the identity first: (elems, index, parent links,
+    gen_cols), where gen_cols[gi][x] is the index of elems[x] * gens[gi]."""
     g0 = gens[0]
     prev, cur = g0, mul(g0, g0)
     steps = 1
@@ -170,6 +236,7 @@ def _generated_elements(gens: Sequence, mul: Callable, max_order: int):
     elems = [ident]
     index = {ident: 0}
     parent: list[tuple[int, int]] = [(-1, -1)]
+    gen_cols: list[list[int]] = [[] for _ in gens]
     head = 0
     while head < len(elems):
         x = elems[head]
@@ -181,8 +248,9 @@ def _generated_elements(gens: Sequence, mul: Callable, max_order: int):
                 index[y] = len(elems)
                 elems.append(y)
                 parent.append((head, gi))
+            gen_cols[gi].append(index[y])
         head += 1
-    return elems, index, parent
+    return elems, index, parent, gen_cols
 
 
 def build_from_generators(
@@ -204,11 +272,8 @@ def build_from_generators(
 def _build_from_generators(gens, mul, max_order, labeler, name):
     if not gens:
         return trivial_group(), [None]
-    elems, index, parent = _generated_elements(gens, mul, max_order)
+    elems, index, parent, gen_cols = _generated_elements(gens, mul, max_order)
     n = len(elems)
-    k = len(gens)
-    # one column of the table per generator, by object multiplication
-    gen_cols = [[index[mul(x, g)] for x in elems] for g in gens]
     # remaining columns by parent decomposition: y = p * g implies
     # x*y = (x*p)*g, so col_y[x] = gen_col_g[col_p[x]]
     cols: list[Optional[list[int]]] = [None] * n
@@ -373,10 +438,8 @@ def direct_product(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:
                 for a in range(A.order) for b in range(nb))
     labels = tuple(f"({A.labels[a]},{B.labels[b]})"
                    for a in range(A.order) for b in range(nb))
-    gens: Optional[tuple[int, ...]] = None
-    if A.generators is not None and B.generators is not None:
-        gens = tuple(enc(g, B.identity) for g in A.generators) + \
-               tuple(enc(A.identity, g) for g in B.generators)
+    gens = tuple(enc(g, B.identity) for g in A.generators) + \
+        tuple(enc(A.identity, g) for g in B.generators)
     e = enc(A.identity, B.identity)
     return FiniteGroup(n, table, inv, e, labels, gens, f"{A.name}x{B.name}")
 
@@ -498,18 +561,8 @@ def subgroup_from_elements(G: FiniteGroup, elems: Iterable[int]) -> SubgroupHand
 
 
 def generated_subgroup(G: FiniteGroup, gens: Iterable[int]) -> SubgroupHandle:
-    seen = {G.identity}
-    queue = [G.identity]
-    gens = list(gens)
-    head = 0
-    while head < len(queue):
-        x = queue[head]
-        head += 1
-        for g in gens:
-            y = G.mul(x, g)
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
+    seen = {G.identity}.union(
+        y for y, _, _ in _spanning_steps(G.mul_table, G.identity, list(gens)))
     mask = tuple(i in seen for i in range(G.order))
     return SubgroupHandle(G, mask, len(seen))
 
@@ -571,7 +624,7 @@ def subgroup_as_group(G: FiniteGroup, H: SubgroupHandle) -> tuple[FiniteGroup, t
     pos = {g: i for i, g in enumerate(embed)}
     table = tuple(tuple(pos[G.mul(a, b)] for b in embed) for a in embed)
     labels = tuple(G.labels[g] for g in embed)
-    sub = group_from_table(table, labels, None, f"{G.name}.sub{H.order}")
+    sub = group_from_table(table, labels, name=f"{G.name}.sub{H.order}")
     return sub, tuple(embed)
 
 
@@ -620,10 +673,10 @@ def group_from_text(text: str, name: str = "G") -> FiniteGroup:
     for i in range(n):
         parts = lines[1 + i].split()
         try:
-            row = [int(p) for p in parts]
+            row = list(map(int, parts))
         except ValueError:
             raise ParseError("non-integer table entry", 2 + i)
-        if len(row) != n or any(not 0 <= v < n for v in row):
+        if len(row) != n or min(row) < 0 or max(row) >= n:
             raise ParseError(f"row must be {n} indices in 0..{n - 1}", 2 + i)
         table.append(row)
     labels = None
@@ -634,4 +687,4 @@ def group_from_text(text: str, name: str = "G") -> FiniteGroup:
         if len(rest) != 1 + n:
             raise ParseError(f"expected {n} labels", 2 + n)
         labels = [ln for ln in rest[1:]]
-    return group_from_table(table, labels, None, name)
+    return group_from_table(table, labels, name=name)

@@ -1,14 +1,17 @@
 """Matter content: group actions on finite sets and unitary representations.
 
-Character values are exact cyclotomic numbers.  Numeric representation
-matrices are admitted (validated to 1e-9), and every character extracted
-from them goes through eigenvalue snapping: eigenvalues of a finite-order
-unitary matrix are roots of unity, so each one is snapped (tolerance 1e-6)
-to an exact root before any product or sum is formed.
+Character values are exact cyclotomic numbers.  Actions, one-dimensional
+reps and reps from generator images are checked exactly, over the group's
+generators, by `groups.law_break`.  Numeric representation matrices are
+admitted (validated to 1e-9), and every character extracted from them goes
+through eigenvalue snapping: eigenvalues of a finite-order unitary matrix
+are roots of unity, so each one is snapped (tolerance 1e-6) to an exact
+root before any product or sum is formed.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Union
@@ -19,7 +22,6 @@ from .cyclo import Cyclotomic, snap_to_root_of_unity
 from .errors import (
     BadParams,
     ClassInconsistency,
-    DimTooLarge,
     GroupMismatch,
     NotAHomomorphism,
     ParseError,
@@ -29,15 +31,17 @@ from .groups import (
     CosetSpace,
     FiniteGroup,
     SubgroupHandle,
+    compose_maps,
     coset_space,
     direct_product,
+    extend_generator_images,
+    law_break,
     same_group,
     subgroup_as_group,
 )
 
 NUMERIC_TOL = 1e-9
 SNAP_TOL = 1e-6
-FOCK_DIM_CAP = 6
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +82,8 @@ ActionViolation = tuple[str, tuple[int, ...]]
 
 
 def validate_action(A: GroupAction) -> Optional[ActionViolation]:
-    """Exhaustive check of the action axioms; None when valid."""
+    """Exhaustive check of the action axioms; None when valid.  Compatibility
+    is checked over the generators by `law_break`, which covers every pair."""
     G, n = A.group, A.set_size
     if len(A.table) != G.order or any(len(r) != n for r in A.table):
         return ("shape", ())
@@ -86,13 +91,14 @@ def validate_action(A: GroupAction) -> Optional[ActionViolation]:
     for s in range(n):
         if A.table[e][s] != s:
             return ("identity", (s,))
-    for g1 in range(G.order):
-        for g2 in range(G.order):
-            g12 = G.mul(g1, g2)
-            for s in range(n):
-                if A.table[g1][A.table[g2][s]] != A.table[g12][s]:
-                    return ("compatibility", (g1, g2, s))
-    return None
+    rows = tuple(tuple(r) for r in A.table)
+    bad = law_break(G, rows, compose_maps)
+    if bad is None:
+        return None
+    g1, g2 = bad
+    g12 = G.mul(g1, g2)
+    s = next(s for s in range(n) if rows[g1][rows[g2][s]] != rows[g12][s])
+    return ("compatibility", (g1, g2, s))
 
 
 def action_left_mult(G: FiniteGroup) -> GroupAction:
@@ -296,8 +302,7 @@ def _validate_rep_numeric(rep: UnitaryRep) -> None:
         U = rep.numeric[g]
         if np.max(np.abs(U @ U.conj().T - eye)) > NUMERIC_TOL:
             raise NotAHomomorphism(f"matrix for element {g} is not unitary")
-    gens = G.generators if G.generators else tuple(range(G.order))
-    for g in gens:
+    for g in G.generators:
         Ug = rep.numeric[g]
         for a in range(G.order):
             if np.max(np.abs(rep.numeric[a] @ Ug - rep.numeric[G.mul(a, g)])) > NUMERIC_TOL:
@@ -306,32 +311,14 @@ def _validate_rep_numeric(rep: UnitaryRep) -> None:
 
 def rep_from_generator_images(G: FiniteGroup, images: Sequence[Sequence[Sequence]]) -> UnitaryRep:
     """Extend exact matrices on G's stored generators to the whole group."""
-    if G.generators is None:
-        raise BadParams("group has no stored generating set")
     gens = G.generators
     if len(images) != len(gens):
         raise BadParams(f"{len(images)} images for {len(gens)} generators")
     imgs = [exact_matrix(m) for m in images]
     dim = len(imgs[0]) if imgs else 1
-    mats: list[Optional[ExactMatrix]] = [None] * G.order
-    mats[G.identity] = mat_identity_exact(dim)
-    frontier = [G.identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for gi, g in enumerate(gens):
-                y = G.mul(x, g)
-                if mats[y] is None:
-                    mats[y] = mat_mul_exact(mats[x], imgs[gi])
-                    nxt.append(y)
-        frontier = nxt
-    if any(m is None for m in mats):
-        raise BadParams("stored generators do not generate the group")
-    # M[x*g] == M[x] M[g] for all x and generators g forces multiplicativity
-    for gi, g in enumerate(gens):
-        for x in range(G.order):
-            if mat_mul_exact(mats[x], imgs[gi]) != mats[G.mul(x, g)]:
-                raise NotAHomomorphism(f"generator images are inconsistent at ({x}, {g})")
+    mats = extend_generator_images(G, imgs, mat_mul_exact, mat_identity_exact(dim))
+    if mats is None:
+        raise NotAHomomorphism("generator images do not extend to a homomorphism")
     return rep_from_exact(G, mats)
 
 
@@ -439,10 +426,9 @@ def one_dim_from_values(G: FiniteGroup, values: Sequence) -> OneDimRep:
     vals = tuple(_as_cyclo(v) for v in values)
     if len(vals) != G.order:
         raise BadParams(f"{len(vals)} values for group of order {G.order}")
-    for a in range(G.order):
-        for b in range(G.order):
-            if vals[a] * vals[b] != vals[G.mul(a, b)]:
-                raise NotAHomomorphism(f"values are not multiplicative at ({a}, {b})")
+    bad = law_break(G, vals, operator.mul)
+    if bad is not None:
+        raise NotAHomomorphism(f"values are not multiplicative at {bad}")
     return OneDimRep(G, vals)
 
 
@@ -578,10 +564,6 @@ class FermionMatter:
             raise BadParams("at least one flavour representation is required")
         if isinstance(self.vacuum, str) and self.vacuum not in ("trivial", "staggered"):
             raise BadParams(f"unknown vacuum {self.vacuum!r}")
-        for f in self.flavours:
-            if f.dim > FOCK_DIM_CAP:
-                raise DimTooLarge(
-                    f"flavour dimension {f.dim} exceeds the cap {FOCK_DIM_CAP}")
 
 
 MatterSpec = Union[PureGauge, ScalarMatter, ScalarMatterPerSite, FermionMatter]

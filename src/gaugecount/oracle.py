@@ -49,6 +49,7 @@ from .matter import (
 )
 
 DEFAULT_ORACLE_BUDGET = 10_000_000
+FOCK_DIM_CAP = 6  # the Fock matrix has 2^dim rows; the engine has no such cap
 
 Weight = Union[int, Fraction, Cyclotomic]
 
@@ -147,8 +148,9 @@ def fock_site_matrix(rep: UnitaryRep, g: int) -> tuple[tuple[Cyclotomic, ...], .
     Entry (S, T) is the minor of rho(g) with rows S and columns T when the
     subsets have equal size, else zero.  Subsets are ordered by bitmask.
     """
-    if rep.dim > 6:
-        raise DimTooLarge(f"Fock oracle caps matrix dimension at 6, got {rep.dim}")
+    if rep.dim > FOCK_DIM_CAP:
+        raise DimTooLarge(
+            f"Fock oracle caps matrix dimension at {FOCK_DIM_CAP}, got {rep.dim}")
     m = rep.exact_matrix_of(g)
     d = rep.dim
     subsets = [tuple(i for i in range(d) if mask >> i & 1) for mask in range(1 << d)]
@@ -164,8 +166,9 @@ def fock_site_matrix(rep: UnitaryRep, g: int) -> tuple[tuple[Cyclotomic, ...], .
 
 def fock_site_trace(rep: UnitaryRep, g: int, parity_sign: int = 1) -> Cyclotomic:
     """Sum of principal minors, optionally weighted by (-1)^occupation."""
-    if rep.dim > 6:
-        raise DimTooLarge(f"Fock oracle caps matrix dimension at 6, got {rep.dim}")
+    if rep.dim > FOCK_DIM_CAP:
+        raise DimTooLarge(
+            f"Fock oracle caps matrix dimension at {FOCK_DIM_CAP}, got {rep.dim}")
     if parity_sign not in (1, -1):
         raise BadParams(f"parity_sign must be +1 or -1, got {parity_sign}")
     m = rep.exact_matrix_of(g)

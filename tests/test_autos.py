@@ -12,6 +12,7 @@ from gaugecount import (
     ParseError,
     analyze_automorphisms,
     binary_tetrahedral_group,
+    builtin_group,
     class_image,
     compose,
     conjugacy_classes,
@@ -23,8 +24,10 @@ from gaugecount import (
     endo_from_text,
     endo_to_text,
     enumerate_automorphisms,
+    first_proper_subgroup,
     generated_subgroup,
-    greedy_generating_set,
+    group_from_text,
+    group_to_text,
     hamiltonian_symmetry_check,
     identity_endo,
     inner_automorphism,
@@ -36,7 +39,9 @@ from gaugecount import (
     is_inner,
     is_involutory,
     quaternion_group,
+    subgroup_as_group,
     symmetric_group,
+    trivial_group,
 )
 
 
@@ -199,9 +204,24 @@ def test_hamiltonian_symmetry_check_detects_breaking():
 
 
 def test_greedy_generating_set():
-    for G in (symmetric_group(4), dihedral_group(6), binary_tetrahedral_group()):
-        gens = greedy_generating_set(G)
-        assert generated_subgroup(G, gens).order == G.order
+    """Every group's stored generators generate it; tables read without
+    generators get the greedy set (first element outside the subgroup
+    generated so far), so automorphism searches keep their generators."""
+    groups = [builtin_group(fam, p) for fam, p in (
+        ("trivial", ()), ("cyclic", (6,)), ("dihedral", (1,)), ("dihedral", (5,)),
+        ("symmetric", (4,)), ("quaternion", ()), ("binary_tetrahedral", ()),
+        ("binary_octahedral", ()))]
+    S4 = symmetric_group(4)
+    groups += [group_from_text(group_to_text(S4)),
+               subgroup_as_group(S4, first_proper_subgroup(S4))[0],
+               direct_product(quaternion_group(), cyclic_group(3)),
+               direct_product(trivial_group(), trivial_group())]
+    for G in groups:
+        assert generated_subgroup(G, G.generators).order == G.order
+    expected = {"S4": (1, 2), "D6": (1, 6), "2T": (1, 2)}
+    for G in (S4, dihedral_group(6), binary_tetrahedral_group()):
+        loaded = group_from_text(group_to_text(G))
+        assert loaded.generators == expected[G.name]
 
 
 def test_endo_text_roundtrip():

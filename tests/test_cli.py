@@ -101,6 +101,19 @@ def test_verify_mismatch_exit_code(tmp_path, capsys, monkeypatch):
     assert "MISMATCH" in capsys.readouterr().err
 
 
+def test_verify_past_the_oracle_fock_cap_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "group": {"family": "cyclic", "params": [2]},
+        "lattice": {"dims": [2], "periodic": True},
+        "matter": {"kind": "fermion", "flavours": [{"builtin": "trivial", "dim": 7}]},
+    })
+    assert main(["count", "--config", cfg]) == 0
+    assert f"total: {2 * 128 ** 2}" in capsys.readouterr().out
+    assert main(["verify", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: DimTooLarge: ") and err.count("\n") == 1
+
+
 def test_nonintegral_exit_code(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path, STAGGERED_JOB)
 

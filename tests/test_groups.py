@@ -1,14 +1,23 @@
 """Group construction, validation, conjugacy classes, subgroups, cosets."""
 
+import random
+
 import pytest
 
 from gaugecount import (
     BadParams,
     ClosureOverflow,
+    Cyclotomic,
+    GroupAction,
     NotAGroup,
+    NotAHomomorphism,
     NotASubgroup,
     ParseError,
     UnknownFamily,
+    action_coset,
+    action_left_mult,
+    action_product,
+    action_trivial,
     binary_icosahedral_group,
     binary_octahedral_group,
     binary_tetrahedral_group,
@@ -19,19 +28,25 @@ from gaugecount import (
     conjugacy_classes,
     coset_space,
     cyclic_group,
+    det_rep,
     dihedral_group,
     direct_product,
+    enumerate_automorphisms,
     first_proper_subgroup,
     generated_subgroup,
     group_from_table,
     group_from_text,
     group_to_text,
+    is_endomorphism,
     normalizer,
+    one_dim_from_values,
+    permutation_rep,
     quaternion_group,
     subgroup_as_group,
     subgroup_from_elements,
     symmetric_group,
     trivial_group,
+    validate_action,
     validate_table,
 )
 
@@ -94,6 +109,36 @@ def test_validate_table_rejects_missing_identity():
     sub3 = [[(a - b) % 3 for b in range(3)] for a in range(3)]
     with pytest.raises(NotAGroup):
         validate_table(sub3)
+
+
+def _intercalate_table(n, a, c):
+    """Z_n with the 2x2 subsquare at rows a, a+n/2 and columns c, c+n/2 swapped:
+    still a latin square with identity and inverses, but not associative."""
+    t = [[(x + y) % n for y in range(n)] for x in range(n)]
+    h = n // 2
+    for x in (a, a + h):
+        t[x][c], t[x][c + h] = t[x][c + h], t[x][c]
+    return t
+
+
+def test_large_nonassociative_table_is_rejected():
+    # (36*124)*1 = 673 but 36*(124*1) = 161; order 1024 is past any cheap all-triples check
+    t = _intercalate_table(1024, 36, 124)
+    assert t[t[36][124]][1] == 673 and t[36][t[124][1]] == 161
+    with pytest.raises(NotAGroup, match="associativity"):
+        group_from_table(t)
+    text = "order 1024\n" + "".join(" ".join(map(str, row)) + "\n" for row in t)
+    with pytest.raises(NotAGroup, match="associativity"):
+        group_from_text(text)
+
+
+def test_group_from_table_checks_generators():
+    z6 = [[(a + b) % 6 for b in range(6)] for a in range(6)]
+    assert group_from_table(z6, generators=(2, 3)).generators == (2, 3)
+    assert group_from_table(z6).generators == (1,)
+    for gens in ((2,), (3,), (0,), (6,)):
+        with pytest.raises(BadParams):
+            group_from_table(z6, generators=gens)
 
 
 def test_group_from_table_roundtrip():
@@ -294,3 +339,100 @@ def test_cyclic_bounds():
         cyclic_group(0)
     with pytest.raises(BadParams):
         dihedral_group(0)
+
+
+# ---------------------------------------------------------------------------
+# the generator-based law checks against an all-pairs reference
+
+def _all_pairs_ok(G, f, op):
+    return all(f[G.mul(a, b)] == op(f[a], f[b])
+               for a in range(G.order) for b in range(G.order))
+
+
+def _action_all_pairs_ok(G, rows):
+    return (all(rows[G.identity][s] == s for s in range(len(rows[0])))
+            and all(rows[g1][rows[g2][s]] == rows[G.mul(g1, g2)][s]
+                    for g1 in range(G.order) for g2 in range(G.order)
+                    for s in range(len(rows[0]))))
+
+
+def _twisted(G, f, g, pick, op):
+    """f with each left coset of <g>, other than the identity's, multiplied on
+    the left by its own pick(): the law still holds at g, but rarely elsewhere."""
+    coset = coset_space(G, generated_subgroup(G, [g])).coset_of
+    twist = {c: pick() for c in set(coset) if c != coset[G.identity]}
+    return tuple(op(twist[coset[x]], fx) if coset[x] in twist else fx
+                 for x, fx in enumerate(f))
+
+
+def test_law_checks_match_all_pairs_reference():
+    """is_endomorphism, one_dim_from_values and validate_action agree with the
+    all-pairs definitions on true, perturbed, generator-twisted and random maps
+    (seeded)."""
+    rng = random.Random(20261018)
+    roots = [Cyclotomic.root_of_unity(4, k) for k in range(4)]
+    verdicts = {"endo": set(), "one_dim": set(), "action": set()}
+    for G in (trivial_group(), cyclic_group(4), symmetric_group(3),
+              dihedral_group(4), quaternion_group()):
+        n = G.order
+        cyclic = [generated_subgroup(G, [g]) for g in range(n)]
+
+        endos = [tuple(a.image) for a in enumerate_automorphisms(G).automorphisms]
+        endos.append((G.identity,) * n)
+        images = endos + [tuple(rng.randrange(n) for _ in range(n)) for _ in range(6)]
+        for img in endos[:6]:
+            bad = list(img)
+            bad[rng.randrange(n)] = rng.randrange(n)
+            images.append(tuple(bad))
+            images += [_twisted(G, img, g, lambda: rng.randrange(n), G.mul)
+                       for g in G.generators]
+        for img in images:
+            want = _all_pairs_ok(G, img, G.mul)
+            assert is_endomorphism(G, img) == want, (G, img)
+            verdicts["endo"].add(want)
+
+        chars = [det_rep(permutation_rep(action_coset(G, H))).values for H in cyclic]
+        chars.append(det_rep(permutation_rep(action_left_mult(G))).values)
+        value_lists = chars + [tuple(rng.choice(roots) for _ in range(n)) for _ in range(4)]
+        for vals in chars[:6]:
+            bad = list(vals)
+            bad[rng.randrange(n)] = rng.choice(roots[1:]) * bad[0]
+            value_lists.append(tuple(bad))
+            value_lists += [_twisted(G, vals, g, lambda: rng.choice(roots), lambda a, b: a * b)
+                            for g in G.generators]
+        for vals in value_lists:
+            want = _all_pairs_ok(G, vals, lambda a, b: a * b)
+            try:
+                one_dim_from_values(G, vals)
+                got = True
+            except NotAHomomorphism:
+                got = False
+            assert got == want, (G, vals)
+            verdicts["one_dim"].add(want)
+
+        actions = [action_left_mult(G), action_trivial(G, 2)]
+        actions += [action_coset(G, H) for H in cyclic[:4]]
+        actions.append(action_product(actions[0], actions[-1]))
+        tables = [A.table for A in actions]
+        for table in tables[:5]:
+            m = len(table[0])
+            rows = [list(r) for r in table]
+            x, i, j = rng.randrange(n), rng.randrange(m), rng.randrange(m)
+            rows[x][i], rows[x][j] = rows[x][j], rows[x][i]
+            tables.append(tuple(tuple(r) for r in rows))
+            tables.append(tuple(table[rng.randrange(n)] for _ in range(n)))
+            tables += [_twisted(G, table, g, lambda: tuple(rng.sample(range(m), m)),
+                                lambda p, q: tuple(p[v] for v in q))
+                       for g in G.generators]
+        for _ in range(4):
+            m = rng.randrange(1, 5)
+            tables.append(tuple(tuple(rng.sample(range(m), m)) for _ in range(n)))
+        for table in tables:
+            want = _action_all_pairs_ok(G, table)
+            bad = validate_action(GroupAction(G, len(table[0]), table))
+            assert (bad is None) == want, (G, table)
+            if bad is not None and bad[0] == "compatibility":
+                g1, g2, s = bad[1]
+                assert table[g1][table[g2][s]] != table[G.mul(g1, g2)][s]
+            verdicts["action"].add(want)
+    assert all(v == {True, False} for v in verdicts.values())

@@ -15,6 +15,7 @@ from gaugecount import (
     NotAHomomorphism,
     OneDimRep,
     ParseError,
+    PureGauge,
     action_coset,
     action_from_text,
     action_left_mult,
@@ -24,6 +25,7 @@ from gaugecount import (
     action_trivial,
     conjugacy_classes,
     constant_class_function,
+    count,
     cyclic_group,
     det_character,
     det_rep,
@@ -33,9 +35,14 @@ from gaugecount import (
     first_proper_subgroup,
     fixed_point_character,
     fixed_point_count,
+    group_from_table,
+    group_from_text,
+    group_to_text,
+    lattice_hypercubic,
     one_dim_class_values,
     one_dim_from_values,
     one_dim_to_rep,
+    oracle_count,
     orbits,
     permutation_rep,
     quaternion_group,
@@ -212,6 +219,23 @@ def test_rep_from_generator_images():
         rep_from_generator_images(G, [((Cyclotomic.root_of_unity(3),),)])
 
 
+def test_rep_from_generator_images_on_a_loaded_group():
+    D4 = dihedral_group(4)
+    rot = dihedral_rotation_rep(D4, 4)
+    G = group_from_text(group_to_text(D4))
+    rep = rep_from_generator_images(G, [rot.exact[g] for g in G.generators])
+    assert rep.exact == rot.exact
+    with pytest.raises(NotAHomomorphism):
+        rep_from_generator_images(G, [rot.exact[g] for g in reversed(G.generators)])
+    # a generator equal to the identity must get the identity matrix
+    Z3 = group_from_table([[(a + b) % 3 for b in range(3)] for a in range(3)],
+                          generators=(0, 1))
+    w = Cyclotomic.root_of_unity(3)
+    assert rep_from_generator_images(Z3, [((1,),), ((w,),)]).exact[2] == ((w * w,),)
+    with pytest.raises(NotAHomomorphism):
+        rep_from_generator_images(Z3, [((w,),), ((w,),)])
+
+
 def test_rep_from_exact_validation():
     G = cyclic_group(2)
     with pytest.raises(NotAHomomorphism):
@@ -363,10 +387,19 @@ def test_fermion_matter_validation():
         FermionMatter((), spinor_count=1)
     with pytest.raises(BadParams):
         FermionMatter((rep,), vacuum="weird")
-    with pytest.raises(DimTooLarge):
-        FermionMatter((trivial_rep(G, 7),))
     m = FermionMatter((rep,), 2, zn_charge_rep(G, 1))
     assert m.spinor_count == 2
+
+
+def test_flavour_past_the_oracle_fock_cap_counts():
+    # a trivial 7-dim flavour puts 2^7 = 128 singlet states on every site
+    G = dihedral_group(3)
+    L = lattice_hypercubic((2, 2))
+    flavour = trivial_rep(G, 7)
+    pure = count(G, L, PureGauge()).total
+    assert count(G, L, FermionMatter((flavour,))).total == 128 ** L.site_count * pure
+    with pytest.raises(DimTooLarge):
+        oracle_count(G, L, FermionMatter((flavour,)))
 
 
 def test_spinor_components_for_dirac():
