@@ -19,6 +19,9 @@ tail of no twisted link, only sink links in) decouples into the factor
 (1/|G|) sum_g chi_x(g); twisted links between components become small
 factor tables, summed out by bucket elimination onto the component of the
 lowest-numbered constrained site, whose classes give the per-class breakdown.
+The cost follows distinct characters and nonzero entries, not sites or class
+tuples: sites with equal character values share one power, and elimination
+joins only the nonzero entries of the tables it sums out.
 
 The result must come out a nonnegative integer; anything else raises
 NonIntegralResult with the failed witness attached.
@@ -29,7 +32,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Optional, Sequence, Union
 
 from .cyclo import Cyclotomic
@@ -184,16 +186,19 @@ def count_general(G: FiniteGroup,
             factors.append((scope, table))
 
     zero = Cyclotomic.zero()
+    # sites grouped by character value, not object, so each distinct value is
+    # raised once; same maps each object's id to the first equal character
+    by_value: dict[tuple, ClassFunction] = {}
+    same = {id(ch): by_value.setdefault(tuple((v.order, v.coeffs) for v in ch.values), ch)
+            for ch in {id(ch): ch for ch in chars}.values()}
+    multiplicity = [Counter(id(same[id(chars[x])]) for x in members) for members in comps]
 
     def potential(k: int, c: int) -> Cyclotomic:
         if weight[k][c] == 0:
             return zero
         term = Cyclotomic.rational(weight[k][c])
-        for x in comps[k]:
-            v = chars[x].values[c]
-            if v.is_zero():
-                return zero
-            term = term * v
+        for i, m in multiplicity[k].items():
+            term = term * same[i].values[c] ** m
         return term
 
     # sum out every constrained component but the root, fewest neighbours first
@@ -209,32 +214,33 @@ def count_general(G: FiniteGroup,
         bucket = [f for f in factors if k in f[0]]
         factors = [f for f in factors if k not in f[0]]
         scope = tuple(sorted({v for s, _ in bucket for v in s} - {k}))
-        pots = [potential(k, c) for c in range(n_cls)]
-        table = {}
-        for key in product(range(n_cls), repeat=len(scope)):
-            at = dict(zip(scope, key))
-            acc = zero
-            for c in range(n_cls):
-                at[k] = c
-                term = pots[c]
-                for s, t in bucket:
-                    if term.is_zero():
-                        break
-                    term = term * t.get(tuple(at[v] for v in s), 0)
-                acc = acc + term
-            if not acc.is_zero():
-                table[key] = acc
-        factors.append((scope, table))
+        # join the nonzero table entries: one row per consistent assignment
+        # of classes to the components bound so far (pos: component -> column)
+        pos = {k: 0}
+        rows = [((c,), p) for c in range(n_cls) if not (p := potential(k, c)).is_zero()]
+        for s, t in bucket:
+            index: dict[tuple, list] = {}
+            for key, val in t.items():
+                index.setdefault(tuple(c for v, c in zip(s, key) if v in pos), []).append(
+                    (tuple(c for v, c in zip(s, key) if v not in pos), val))
+            on = [pos[v] for v in s if v in pos]
+            rows = [(at + ext, term * val) for at, term in rows
+                    for ext, val in index.get(tuple(at[j] for j in on), ())]
+            for v in s:
+                pos.setdefault(v, len(pos))
+        table: dict[tuple, Cyclotomic] = {}
+        for at, term in rows:
+            key = tuple(at[pos[v]] for v in scope)
+            table[key] = table.get(key, zero) + term
         for v in scope:
             nbrs[v] = (nbrs[v] | nbrs[k]) - {k}
+        factors.append((scope, {key: t for key, t in table.items() if not t.is_zero()}))
 
-    # class-independent factor from free sites
+    # class-independent factor from free sites, one power per distinct character
     free_factor = Cyclotomic.one()
-    for x in free:
-        total_x = Cyclotomic.zero()
-        for c in range(n_cls):
-            total_x = total_x + sizes[c] * chars[x].values[c]
-        free_factor = free_factor * (Fraction(1, G.order) * total_x)
+    for i, m in Counter(id(same[id(chars[x])]) for x in free).items():
+        mean = Fraction(1, G.order) * sum((z * v for z, v in zip(sizes, same[i].values)), zero)
+        free_factor = free_factor * mean ** m
 
     per_class: list[Cyclotomic] = []
     for c in range(n_cls):
@@ -243,9 +249,7 @@ def count_general(G: FiniteGroup,
             term = term * t.get((c,) * len(s), 0)
         per_class.append(term)
 
-    total_cyc = zero
-    for t in per_class:
-        total_cyc = total_cyc + t
+    total_cyc = sum(per_class, zero)
     # nothing but free sites (or the empty lattice): only their factor remains
     total_cyc = free_factor * total_cyc if root is not None else free_factor
 

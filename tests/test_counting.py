@@ -21,6 +21,8 @@ from gaugecount import (
     action_coset,
     action_left_mult,
     action_trivial,
+    binary_icosahedral_group,
+    binary_octahedral_group,
     burnside_count,
     conjugacy_classes,
     connected_components,
@@ -270,6 +272,93 @@ def test_random_multigraphs_match_burnside_oracle():
         untwisted = [e for i, e in enumerate(edges) if i not in tw.edges]
         multi += len(connected_components(V, untwisted)) > 1
     assert multi >= 200
+
+
+def _noncentral(G):
+    return next(g for g in range(G.order)
+                if any(G.mul(g, x) != G.mul(x, g) for x in range(G.order)))
+
+
+def _inner_twist_everywhere(G, L):
+    return make_twist(L, inner_automorphism(G, _noncentral(G)), range(L.edge_count))
+
+
+@pytest.fixture
+def count_muls(monkeypatch):
+    """Run a thunk and return (its result, Cyclotomic multiplications made)."""
+    calls = [0]
+    plain = Cyclotomic.__mul__
+
+    def counted(self, other):
+        calls[0] += 1
+        return plain(self, other)
+
+    monkeypatch.setattr(Cyclotomic, "__mul__", counted)
+    monkeypatch.setattr(Cyclotomic, "__rmul__", counted)
+
+    def run(thunk):
+        calls[0] = 0
+        result = thunk()
+        return result, calls[0]
+    return run
+
+
+def test_contraction_work_grows_slower_than_the_lattice(count_muls):
+    # one power per distinct site character: 16x the sites, under 3x the work
+    G = binary_icosahedral_group()
+    cls = conjugacy_classes(G)
+    m = FermionMatter((su2_fundamental_rep(G),), 2, "staggered")
+    _, small = count_muls(lambda: count(G, lattice_hypercubic((16, 16)), m, classes=cls))
+    _, large = count_muls(lambda: count(G, lattice_hypercubic((64, 64)), m, classes=cls))
+    assert large < 3 * small
+    # every link twisted makes every site its own component; eliminating over
+    # nonzero table entries keeps the work linear in sites (4x here), where a
+    # dense sweep over class tuples grows with n_classes^(lattice width)
+    O = binary_octahedral_group()
+    cls = conjugacy_classes(O)
+    m = FermionMatter((su2_fundamental_rep(O),), 2, "staggered")
+    muls = []
+    for n in (4, 8):
+        L = lattice_hypercubic((n, n))
+        muls.append(count_muls(lambda: count(O, L, m, twist=_inner_twist_everywhere(O, L),
+                                             classes=cls))[1])
+    assert muls[1] < 4 * muls[0]
+
+
+def test_inner_twist_everywhere_is_gauge_equivalent_to_none():
+    # g -> g.a on the twisted links carries the twisted sum onto the untwisted one
+    S5 = symmetric_group(5)
+    O = binary_octahedral_group()
+    L = lattice_hypercubic((8, 8))
+    for G, m in ((O, FermionMatter((su2_fundamental_rep(O),), 2, "staggered")),
+                 (S5, ScalarMatter(action_coset(S5, first_proper_subgroup(S5))))):
+        r = count(G, L, m, twist=_inner_twist_everywhere(G, L))
+        assert r.twist_kind == "proper"
+        assert r.total == count(G, L, m).total
+    L = lattice_hypercubic((2, 3))
+    S3, Q8 = symmetric_group(3), quaternion_group()
+    for G, m in ((S3, ScalarMatter(action_coset(S3, first_proper_subgroup(S3)))),
+                 (Q8, FermionMatter((su2_fundamental_rep(Q8),), 1, "staggered"))):
+        tw = _inner_twist_everywhere(G, L)
+        assert count(G, L, m, twist=tw).total == oracle_count(G, L, m, twist=tw)
+
+
+def test_equal_site_characters_are_grouped_by_value(count_muls):
+    O = binary_octahedral_group()
+    m = FermionMatter((su2_fundamental_rep(O),), 2, "trivial")
+    one = count(O, LatticeGraph(1, ()), m).total
+    assert count(O, LatticeGraph(400, ()), m).total == one ** 400
+    # separately built, equal characters collapse into one power: 16x the
+    # sites of a shared-character count, under 3x its work
+    S3 = symmetric_group(3)
+    cls = conjugacy_classes(S3)
+    L = lattice_hypercubic((64, 64))
+    actions = tuple(action_coset(S3, first_proper_subgroup(S3)) for _ in range(L.site_count))
+    _, small = count_muls(lambda: count(S3, lattice_hypercubic((16, 16)),
+                                        ScalarMatter(actions[0]), classes=cls))
+    per_site, muls = count_muls(lambda: count(S3, L, ScalarMatterPerSite(actions), classes=cls))
+    assert per_site.total == count(S3, L, ScalarMatter(actions[0]), classes=cls).total
+    assert muls < 3 * small
 
 
 def test_zn_closed_forms_match_engine():
