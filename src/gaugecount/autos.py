@@ -1,12 +1,17 @@
 """Endomorphisms and automorphisms of finite groups.
 
 Multiplicativity is checked by `groups.law_break` on every (element,
-generator) pair, which forces it everywhere; `is_endomorphism` and every
-candidate of the automorphism search go through it.  The search tries
-images of the group's stored generators, filtered by element order and
-centralizer size, and extends each with `groups.extend_generator_images`.
-The search budget caps the weighted work; an exhausted budget marks the
-result incomplete rather than raising.
+generator) pair, which forces it everywhere; `is_endomorphism` goes
+through it.  The automorphism search is the generator-image method
+(Holt, Eick & O'Brien, Handbook of Computational Group Theory): it tries
+images of the group's stored generators, filtered by element order
+and by centralizer size from the class table, rejects a candidate that
+changes the order of a product of two generators, builds each remaining
+map along the generator tree by table lookups, and checks f(x*s) =
+f(x)*f(s) for every x and generator s at once, as the permutation
+equation f o col_s == col_f(s) o f on the table's columns.  The search
+budget caps the weighted work; an exhausted budget marks the result
+incomplete rather than raising.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Mapping, Optional, Sequence
 
 from .errors import (
@@ -28,8 +34,7 @@ from .groups import (
     ConjugacyClassTable,
     FiniteGroup,
     center,
-    centralizer_order,
-    extend_generator_images,
+    conjugacy_classes,
     law_break,
     same_group,
 )
@@ -147,17 +152,33 @@ class AutomorphismSearch:
 
 def enumerate_automorphisms(G: FiniteGroup,
                             budget: int = DEFAULT_AUT_BUDGET) -> AutomorphismSearch:
-    """All automorphisms (deterministic order); incomplete when budget runs out."""
+    """All automorphisms (deterministic order); incomplete when budget runs out.
+
+    Each candidate assigns every generator an element of the same order and
+    centralizer size, and costs `leaf_cost` work whether or not it is
+    rejected.  A candidate that changes the order of a product of two
+    generators is rejected at once; any other is extended along
+    `G.generator_tree` by table lookups and kept when it is multiplicative,
+    f o col_s == col_t o f for every generator s and its image t, and
+    bijective.
+    """
     n = G.order
     gens = G.generators
     if not gens:  # trivial group
         return AutomorphismSearch((identity_endo(G),), True, 1)
+    t = G.mul_table
+    classes = conjugacy_classes(G)
     orders = [G.element_order(x) for x in range(n)]
-    cents = [centralizer_order(G, x) for x in range(n)]
+    cents = [classes.centralizer_sizes[c] for c in classes.class_of]
     candidates = [
         tuple(x for x in range(n) if orders[x] == orders[g] and cents[x] == cents[g])
         for g in gens
     ]
+    pairs = [(a, b, orders[t[gens[a]][gens[b]]])
+             for a in range(len(gens)) for b in range(a + 1, len(gens))]
+    cols = tuple(zip(*t))  # cols[s][x] = x * s
+    right = [itemgetter(*cols[s]) for s in gens]  # f -> f o col_s
+    steps = G.generator_tree
     leaf_cost = n * (len(gens) + 1)
     work = 0
     complete = True
@@ -167,10 +188,17 @@ def enumerate_automorphisms(G: FiniteGroup,
             complete = False
             break
         work += leaf_cost
-        mapping = extend_generator_images(G, images, G.mul, G.identity)
-        if mapping is None or len(set(mapping)) != n:
+        if any(orders[t[images[a]][images[b]]] != k for a, b, k in pairs):
             continue
-        found.append(tuple(mapping))
+        f = [G.identity] * n
+        for y, x, i in steps:
+            f[y] = t[f[x]][images[i]]
+        # at x = identity this also checks f(s) == image for a generator s
+        # that is repeated or the identity, which the tree never steps by
+        after_f = itemgetter(*f)  # h -> h o f
+        if all(r(f) == after_f(cols[img]) for r, img in zip(right, images)) \
+                and len(set(f)) == n:
+            found.append(tuple(f))
     found.sort()
     autos = tuple(GroupEndomorphism(G, m) for m in found)
     return AutomorphismSearch(autos, complete, work)

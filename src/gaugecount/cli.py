@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .autos import (
+    DEFAULT_AUT_BUDGET,
     GroupEndomorphism,
     analyze_automorphisms,
     constant_identity_endo,
@@ -389,7 +390,7 @@ def cmd_count(args) -> int:
 def cmd_verify(args) -> int:
     cfg = _load_config(args.config)
     G, L, matter, twist, attach = _resolve_job(cfg)
-    budget = args.budget or DEFAULT_ORACLE_BUDGET
+    budget = DEFAULT_ORACLE_BUDGET if args.budget is None else args.budget
     formula = count(G, L, matter, twist=twist, dangling_attach=attach).total
     oracle = oracle_count(G, L, matter, twist=twist, dangling_attach=attach,
                           budget=budget)
@@ -409,7 +410,7 @@ def cmd_group_info(args) -> int:
     else:
         raise BadParams("give --family (with --params) or --config")
     classes = conjugacy_classes(G)
-    budget = args.budget or 10_000_000
+    budget = DEFAULT_AUT_BUDGET if args.budget is None else args.budget
     report = analyze_automorphisms(G, classes, budget=budget)
     quasi = {True: "yes", False: "no", None: "unknown"}[report.quasi_ambivalent]
     witness = (list(report.charge_conjugations[0].image)
@@ -519,6 +520,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
     if args.threads < 1:
         sys.stderr.write("error: --threads must be at least 1\n")
+        return EXIT_CONFIG
+    if getattr(args, "budget", None) is not None and args.budget < 1:
+        sys.stderr.write("error: --budget must be at least 1\n")
         return EXIT_CONFIG
     try:
         return args.fn(args)

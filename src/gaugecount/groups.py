@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
+from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import quaternions as qt
@@ -100,9 +100,9 @@ def law_break(G: FiniteGroup, f: Sequence, op: Callable) -> Optional[tuple[int, 
     return None
 
 
-def compose_maps(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
+def compose_maps(p: Sequence, q: Sequence[int]) -> tuple:
     """The map y -> p[q[y]], as a tuple."""
-    return tuple(map(p.__getitem__, q))
+    return itemgetter(*q)(p) if len(q) > 1 else tuple(p[y] for y in q)
 
 
 def extend_generator_images(G: FiniteGroup, images: Sequence, op: Callable,
@@ -276,17 +276,10 @@ def _build_from_generators(gens, mul, max_order, labeler, name):
     n = len(elems)
     # remaining columns by parent decomposition: y = p * g implies
     # x*y = (x*p)*g, so col_y[x] = gen_col_g[col_p[x]]
-    cols: list[Optional[list[int]]] = [None] * n
-    cols[0] = list(range(n))
-    for yi in range(1, n):
-        p, gi = parent[yi]
-        if p == 0:
-            cols[yi] = gen_cols[gi]
-        else:
-            base = cols[p]
-            gcol = gen_cols[gi]
-            cols[yi] = [gcol[v] for v in base]
-    table = tuple(tuple(cols[y][x] for y in range(n)) for x in range(n))
+    cols: list[Sequence[int]] = [range(n)]
+    for p, gi in parent[1:]:  # parents precede their children
+        cols.append(compose_maps(gen_cols[gi], cols[p]))
+    table = tuple(zip(*cols))
     labels = tuple(labeler(x) for x in elems)
     gen_idx = tuple(index[g] for g in gens)
     grp = group_from_table(table, labels, gen_idx, name)
@@ -371,39 +364,37 @@ def symmetric_group(n: int) -> FiniteGroup:
                                  labeler=label, name=f"S{n}")
 
 
+# quaternion coordinates are numerators over qt.DENOM = 4 (see quaternions)
+_HALF = (2, 0, 0, 0)
+_OMEGA = (_HALF, _HALF, _HALF, _HALF)  # (1+i+j+k)/2
+_I = (qt.QN_ZERO, qt.QN_ONE, qt.QN_ZERO, qt.QN_ZERO)
+_J = (qt.QN_ZERO, qt.QN_ZERO, qt.QN_ONE, qt.QN_ZERO)
+
+
 @functools.lru_cache(maxsize=None)
 def quaternion_group() -> FiniteGroup:
-    i = qt.quat(qt.QN_ZERO, qt.QN_ONE, qt.QN_ZERO, qt.QN_ZERO)
-    j = qt.quat(qt.QN_ZERO, qt.QN_ZERO, qt.QN_ONE, qt.QN_ZERO)
-    return _quaternion_closure([i, j], 8, "Q8")
+    return _quaternion_closure([_I, _J], 8, "Q8")
 
 
 @functools.lru_cache(maxsize=None)
 def binary_tetrahedral_group() -> FiniteGroup:
-    half = qt.qn(Fraction(1, 2))
-    omega = qt.quat(half, half, half, half)  # (1+i+j+k)/2
-    i = qt.quat(qt.QN_ZERO, qt.QN_ONE, qt.QN_ZERO, qt.QN_ZERO)
-    return _quaternion_closure([omega, i], 24, "2T")
+    return _quaternion_closure([_OMEGA, _I], 24, "2T")
 
 
 @functools.lru_cache(maxsize=None)
 def binary_octahedral_group() -> FiniteGroup:
-    half = qt.qn(Fraction(1, 2))
-    omega = qt.quat(half, half, half, half)
-    hr2 = qt.qn(0, Fraction(1, 2))  # sqrt2/2
-    u = qt.quat(hr2, hr2, qt.QN_ZERO, qt.QN_ZERO)  # (1+i)/sqrt2
-    return _quaternion_closure([omega, u], 48, "2O")
+    hr2 = (0, 2, 0, 0)  # sqrt2/2
+    u = (hr2, hr2, qt.QN_ZERO, qt.QN_ZERO)  # (1+i)/sqrt2
+    return _quaternion_closure([_OMEGA, u], 48, "2O")
 
 
 @functools.lru_cache(maxsize=None)
 def binary_icosahedral_group() -> FiniteGroup:
-    half = qt.qn(Fraction(1, 2))
-    omega = qt.quat(half, half, half, half)
     # t = (phi + i/phi + j)/2 with phi the golden ratio
-    phi_half = qt.qn(Fraction(1, 4), 0, Fraction(1, 4))       # phi/2
-    inv_phi_half = qt.qn(Fraction(-1, 4), 0, Fraction(1, 4))  # 1/(2 phi)
-    t = qt.quat(phi_half, inv_phi_half, half, qt.QN_ZERO)
-    return _quaternion_closure([omega, t], 120, "2I")
+    phi_half = (1, 0, 1, 0)       # phi/2
+    inv_phi_half = (-1, 0, 1, 0)  # 1/(2 phi)
+    t = (phi_half, inv_phi_half, _HALF, qt.QN_ZERO)
+    return _quaternion_closure([_OMEGA, t], 120, "2I")
 
 
 def _quaternion_closure(gens: list, expected_order: int, name: str) -> FiniteGroup:
@@ -416,7 +407,9 @@ def _quaternion_closure(gens: list, expected_order: int, name: str) -> FiniteGro
 
 
 def quaternion_coordinates(G: FiniteGroup):
-    """Unit-quaternion coordinates for groups built from quaternions, else None."""
+    """Unit-quaternion coordinates for groups built from quaternions, else None.
+
+    Each coordinate is a tuple of four integers over `quaternions.DENOM`."""
     return getattr(G, "_quaternion_coords", None)
 
 

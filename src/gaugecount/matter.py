@@ -6,7 +6,9 @@ generators, by `groups.law_break`.  Numeric representation matrices are
 admitted (validated to 1e-9), and every character extracted from them goes
 through eigenvalue snapping: eigenvalues of a finite-order unitary matrix
 are roots of unity, so each one is snapped (tolerance 1e-6) to an exact
-root before any product or sum is formed.
+root before any product or sum is formed.  numpy is imported only by the
+functions that build or read numeric matrices, so a process that counts
+without representations never loads it.
 """
 
 from __future__ import annotations
@@ -14,9 +16,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 from .cyclo import Cyclotomic, snap_to_root_of_unity
 from .errors import (
@@ -39,6 +39,9 @@ from .groups import (
     same_group,
     subgroup_as_group,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 NUMERIC_TOL = 1e-9
 SNAP_TOL = 1e-6
@@ -109,10 +112,8 @@ def action_left_mult(G: FiniteGroup) -> GroupAction:
 def action_coset(G: FiniteGroup, H: SubgroupHandle) -> GroupAction:
     """G acting on left cosets of H (transitive)."""
     cs = coset_space(G, H)
-    table = tuple(
-        tuple(cs.coset_of[G.mul(g, r)] for r in cs.reps)
-        for g in range(G.order)
-    )
+    table = tuple(compose_maps(cs.coset_of, compose_maps(row, cs.reps))
+                  for row in G.mul_table)
     return GroupAction(G, cs.n_cosets, table)
 
 
@@ -161,8 +162,7 @@ def orbits(A: GroupAction) -> tuple[tuple[int, ...], ...]:
 
 
 def fixed_point_count(A: GroupAction, g: int) -> int:
-    row = A.table[g]
-    return sum(1 for s in range(A.set_size) if row[s] == s)
+    return sum(map(operator.eq, A.table[g], range(A.set_size)))
 
 
 def fixed_point_character(A: GroupAction, classes: ConjugacyClassTable) -> ClassFunction:
@@ -235,6 +235,7 @@ def mat_det_exact(m: ExactMatrix) -> Cyclotomic:
 
 
 def mat_to_numpy(m: ExactMatrix) -> np.ndarray:
+    import numpy as np
     return np.array([[v.to_complex() for v in row] for row in m], dtype=complex)
 
 
@@ -282,6 +283,7 @@ def rep_from_exact(G: FiniteGroup, matrices: Sequence[Sequence[Sequence]]) -> Un
 
 
 def rep_from_numeric(G: FiniteGroup, matrices: Sequence[np.ndarray]) -> UnitaryRep:
+    import numpy as np
     if len(matrices) != G.order:
         raise BadParams(f"{len(matrices)} matrices for group of order {G.order}")
     numeric = tuple(np.asarray(m, dtype=complex) for m in matrices)
@@ -294,6 +296,7 @@ def rep_from_numeric(G: FiniteGroup, matrices: Sequence[np.ndarray]) -> UnitaryR
 
 
 def _validate_rep_numeric(rep: UnitaryRep) -> None:
+    import numpy as np
     G, d = rep.group, rep.dim
     eye = np.eye(d)
     if np.max(np.abs(rep.numeric[G.identity] - eye)) > NUMERIC_TOL:
@@ -360,7 +363,7 @@ def dihedral_rotation_rep(G: FiniteGroup, n: int) -> UnitaryRep:
 def su2_fundamental_rep(G: FiniteGroup) -> UnitaryRep:
     """2-dim rep from stored unit-quaternion coordinates (Q8 and binary groups)."""
     from .groups import quaternion_coordinates
-    from .quaternions import QN
+    from .quaternions import DENOM, QN
 
     coords = quaternion_coordinates(G)
     if coords is None:
@@ -371,7 +374,8 @@ def su2_fundamental_rep(G: FiniteGroup) -> UnitaryRep:
     r10 = r2 * r5
 
     def qn_cyclo(p: QN) -> Cyclotomic:
-        return Cyclotomic.rational(p[0]) + p[1] * r2 + p[2] * r5 + p[3] * r10
+        a, b, c, d = (Fraction(v, DENOM) for v in p)
+        return Cyclotomic.rational(a) + b * r2 + c * r5 + d * r10
 
     i_unit = Cyclotomic.root_of_unity(4)
     mats = []
@@ -394,6 +398,7 @@ def rep_direct_sum(a: UnitaryRep, b: UnitaryRep) -> UnitaryRep:
             bot = [(zero,) * a.dim + row for row in mb]
             mats.append(tuple(top + bot))
         return rep_from_exact(a.group, mats)
+    import numpy as np
     mats_np = []
     for g in range(a.group.order):
         m = np.zeros((a.dim + b.dim, a.dim + b.dim), dtype=complex)
@@ -462,6 +467,7 @@ def one_dim_to_rep(chi: OneDimRep) -> UnitaryRep:
 # characters from representations
 
 def _snapped_eigenvalues(rep: UnitaryRep, g: int) -> list[Cyclotomic]:
+    import numpy as np
     k = rep.group.element_order(g)
     eig = np.linalg.eigvals(rep.numeric[g])
     return [snap_to_root_of_unity(complex(lam), k, SNAP_TOL) for lam in eig]
@@ -633,6 +639,7 @@ def rep_to_text(rep: UnitaryRep) -> str:
 
 
 def rep_from_text(text: str, G: FiniteGroup) -> UnitaryRep:
+    import numpy as np
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ParseError("empty rep file", 1)

@@ -1,79 +1,66 @@
 """Exact unit-quaternion arithmetic over the ring Q[sqrt2, sqrt5].
 
-Numbers are stored as rational vectors (a, b, c, d) meaning
-a + b*sqrt2 + c*sqrt5 + d*sqrt10, so equality is exact and the binary
-polyhedral groups close without any floating-point tolerance.
+A number a + b*sqrt2 + c*sqrt5 + d*sqrt10 is stored as the four integers
+(4a, 4b, 4c, 4d).  Every coordinate of Q8, 2T, 2O and 2I lies on that
+lattice of denominator 4, so equality is exact, a product is integer
+arithmetic with one exact division by 4 per coordinate, and the binary
+polyhedral groups close without any floating-point tolerance.  A product
+that leaves the lattice raises NotAGroup.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-# scalar in Q[sqrt2, sqrt5]: tuple (a, b, c, d) == a + b*r2 + c*r5 + d*r10
-QN = tuple[Fraction, Fraction, Fraction, Fraction]
+from .errors import NotAGroup
+
+DENOM = 4
+
+# scalar in Q[sqrt2, sqrt5]: tuple (a, b, c, d) == (a + b*r2 + c*r5 + d*r10) / DENOM
+QN = tuple[int, int, int, int]
 # quaternion w + x*i + y*j + z*k
 Quat = tuple[QN, QN, QN, QN]
 
-_F0 = Fraction(0)
+QN_ZERO: QN = (0, 0, 0, 0)
+QN_ONE: QN = (DENOM, 0, 0, 0)
 
 
-def qn(a=0, b=0, c=0, d=0) -> QN:
-    return (Fraction(a), Fraction(b), Fraction(c), Fraction(d))
-
-
-QN_ZERO = qn()
-QN_ONE = qn(1)
-
-
-def qn_add(p: QN, q: QN) -> QN:
-    return (p[0] + q[0], p[1] + q[1], p[2] + q[2], p[3] + q[3])
-
-
-def qn_neg(p: QN) -> QN:
-    return (-p[0], -p[1], -p[2], -p[3])
-
-
-def qn_mul(p: QN, q: QN) -> QN:
-    a1, b1, c1, d1 = p
-    a2, b2, c2, d2 = q
-    return (
-        a1 * a2 + 2 * b1 * b2 + 5 * c1 * c2 + 10 * d1 * d2,
-        a1 * b2 + b1 * a2 + 5 * (c1 * d2 + d1 * c2),
-        a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2),
-        a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2,
-    )
-
-
-def qn_to_float(p: QN) -> float:
-    return float(p[0]) + float(p[1]) * 2 ** 0.5 + float(p[2]) * 5 ** 0.5 + float(p[3]) * 10 ** 0.5
-
-
-def quat(w: QN, x: QN, y: QN, z: QN) -> Quat:
-    return (w, x, y, z)
-
-
-QUAT_ONE: Quat = (QN_ONE, QN_ZERO, QN_ZERO, QN_ZERO)
+def _coordinate(pairs, signs) -> QN:
+    """The sum of sign * p * q over the pairs, back over the denominator."""
+    a = b = c = d = 0
+    for (p, q), sign in zip(pairs, signs):
+        a1, b1, c1, d1 = p
+        a2, b2, c2, d2 = q
+        a += sign * (a1 * a2 + 2 * b1 * b2 + 5 * c1 * c2 + 10 * d1 * d2)
+        b += sign * (a1 * b2 + b1 * a2 + 5 * (c1 * d2 + d1 * c2))
+        c += sign * (a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2))
+        d += sign * (a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2)
+    out = []
+    for v in (a, b, c, d):
+        quo, rem = divmod(v, DENOM)
+        if rem:
+            raise NotAGroup(f"quaternion product leaves the lattice of denominator {DENOM}")
+        out.append(quo)
+    return tuple(out)
 
 
 def quat_mul(p: Quat, q: Quat) -> Quat:
     w1, x1, y1, z1 = p
     w2, x2, y2, z2 = q
-    w = qn_add(qn_add(qn_mul(w1, w2), qn_neg(qn_mul(x1, x2))),
-               qn_add(qn_neg(qn_mul(y1, y2)), qn_neg(qn_mul(z1, z2))))
-    x = qn_add(qn_add(qn_mul(w1, x2), qn_mul(x1, w2)),
-               qn_add(qn_mul(y1, z2), qn_neg(qn_mul(z1, y2))))
-    y = qn_add(qn_add(qn_mul(w1, y2), qn_neg(qn_mul(x1, z2))),
-               qn_add(qn_mul(y1, w2), qn_mul(z1, x2)))
-    z = qn_add(qn_add(qn_mul(w1, z2), qn_mul(x1, y2)),
-               qn_add(qn_neg(qn_mul(y1, x2)), qn_mul(z1, w2)))
-    return (w, x, y, z)
+    return (
+        _coordinate(((w1, w2), (x1, x2), (y1, y2), (z1, z2)), (1, -1, -1, -1)),
+        _coordinate(((w1, x2), (x1, w2), (y1, z2), (z1, y2)), (1, 1, 1, -1)),
+        _coordinate(((w1, y2), (x1, z2), (y1, w2), (z1, x2)), (1, -1, 1, 1)),
+        _coordinate(((w1, z2), (x1, y2), (y1, x2), (z1, w2)), (1, 1, -1, 1)),
+    )
 
 
 def _qn_str(p: QN) -> str:
     parts = []
-    for coef, sym in zip(p, ("", "r2", "r5", "r10")):
-        if not coef:
+    for num, sym in zip(p, ("", "r2", "r5", "r10")):
+        if not num:
             continue
+        coef = Fraction(num, DENOM)
         if sym and coef == 1:
             parts.append(sym)
         elif sym:

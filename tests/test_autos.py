@@ -1,5 +1,6 @@
 """Endomorphisms, automorphism enumeration, ambivalence, symmetry checks."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from gaugecount import (
     enumerate_automorphisms,
     first_proper_subgroup,
     generated_subgroup,
+    group_from_table,
     group_from_text,
     group_to_text,
     hamiltonian_symmetry_check,
@@ -108,6 +110,71 @@ def test_enumeration_budget_truncation():
     search = enumerate_automorphisms(G, budget=10)
     assert not search.complete
     assert len(search.automorphisms) < 8
+
+
+def _reference_search(G, budget):
+    """The documented search, written out with all-pairs checks: candidates
+    for each generator are the elements of equal order and centralizer size,
+    tried in itertools.product order at n * (generators + 1) work each; a
+    candidate counts when the map it induces is well defined, sends every
+    generator to its image, is multiplicative on every pair and bijective."""
+    n, gens = G.order, G.generators
+    orders = [G.element_order(x) for x in range(n)]
+    cents = [sum(G.mul(x, h) == G.mul(h, x) for h in range(n)) for x in range(n)]
+    candidates = [[x for x in range(n) if (orders[x], cents[x]) == (orders[g], cents[g])]
+                  for g in gens]
+    leaf_cost = n * (len(gens) + 1)
+    work, complete, found = 0, True, []
+    for images in itertools.product(*candidates):
+        if work + leaf_cost > budget:
+            complete = False
+            break
+        work += leaf_cost
+        f = {G.identity: G.identity}
+        frontier = [G.identity]
+        while frontier:
+            x = frontier.pop()
+            for g, img in zip(gens, images):
+                y = G.mul(x, g)
+                if y not in f:
+                    f[y] = G.mul(f[x], img)
+                    frontier.append(y)
+        if any(f[g] != img for g, img in zip(gens, images)):
+            continue
+        if all(f[G.mul(a, b)] == G.mul(f[a], f[b]) for a in range(n) for b in range(n)) \
+                and len(set(f.values())) == n:
+            found.append(tuple(f[x] for x in range(n)))
+    return sorted(found), complete, work
+
+
+def test_enumeration_matches_all_pairs_reference():
+    """Full and truncated searches find the same automorphisms, completeness
+    and work as the all-pairs reference, on built-in groups, a file-loaded
+    group and tables given explicit generating sets."""
+    S4 = symmetric_group(4)
+    Z2 = cyclic_group(2)
+    groups = [(S4, 24), (dihedral_group(6), 12), (quaternion_group(), 24),
+              (binary_tetrahedral_group(), 24),
+              (direct_product(direct_product(Z2, Z2), Z2), 168),
+              (group_from_text(group_to_text(S4)), 24)]
+    # generating sets on which some candidates build a bijective map that is
+    # not multiplicative, so only the multiplicativity check rejects them; in
+    # Z8 the image of the repeated generator is never used to build the map
+    Z4xZ2 = direct_product(cyclic_group(4), Z2)
+    Z3xS3 = direct_product(cyclic_group(3), symmetric_group(3))
+    groups += [(group_from_table(Z4xZ2.mul_table, generators=(5, 2, 1)), 8),
+               (group_from_table(Z3xS3.mul_table, generators=(9, 10)), 12),
+               (group_from_table(cyclic_group(8).mul_table, generators=(1, 1)), 4)]
+    for G, aut_order in groups:
+        leaf_cost = G.order * (len(G.generators) + 1)
+        full = _reference_search(G, 10**9)
+        assert len(full[0]) == aut_order and full[1]
+        total = full[2]
+        for budget in (10**9, leaf_cost, total // 2, total - 1):
+            search = enumerate_automorphisms(G, budget)
+            expected = _reference_search(G, budget)
+            assert ([phi.image for phi in search.automorphisms], search.complete,
+                    search.work) == expected, (G.name, budget)
 
 
 def test_analyze_cyclic():

@@ -1,6 +1,8 @@
 """Command-line interface: configs, formats, exit codes, file inputs."""
 
 import json
+import os
+import subprocess
 import sys
 
 import pytest
@@ -161,6 +163,29 @@ def test_threads_validation(tmp_path, capsys):
     assert main(["--threads", "0", "count", "--config", cfg]) == 2
     assert "at least 1" in capsys.readouterr().err
     assert main(["--threads", "2", "count", "--config", cfg]) == 0
+
+
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_budget_below_one_exits_2(tmp_path, capsys, budget):
+    cfg = write_config(tmp_path, STAGGERED_JOB)
+    for argv in (["verify", "--config", cfg, "--budget", budget],
+                 ["group-info", "--family", "cyclic", "--params", "4",
+                  "--budget", budget]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --budget must be at least 1\n"
+    assert main(["group-info", "--family", "cyclic", "--params", "4",
+                 "--budget", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["enumeration_complete"] is False
+
+
+def test_cli_import_does_not_load_numpy():
+    code = "import sys, gaugecount.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={**os.environ,
+                                                     "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "False"
 
 
 def test_twist_config_variants(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Group construction, validation, conjugacy classes, subgroups, cosets."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -49,6 +50,8 @@ from gaugecount import (
     validate_action,
     validate_table,
 )
+from gaugecount.groups import quaternion_coordinates
+from gaugecount.quaternions import DENOM, quat_mul
 
 # latin square with identity 0 but no associativity: (1*1)*2 = 2, 1*(1*2) = 4
 LOOP5 = [
@@ -188,6 +191,55 @@ def test_binary_groups_have_unique_involution():
               binary_icosahedral_group()):
         assert sum(1 for g in range(G.order) if G.element_order(g) == 2) == 1
         assert center(G).order == 2
+
+
+def _surd_mul(p, q):
+    """(a + b r2 + c r5 + d r10)(a' + ...) over Fractions."""
+    a1, b1, c1, d1 = p
+    a2, b2, c2, d2 = q
+    return (a1 * a2 + 2 * b1 * b2 + 5 * c1 * c2 + 10 * d1 * d2,
+            a1 * b2 + b1 * a2 + 5 * c1 * d2 + 5 * d1 * c2,
+            a1 * c2 + c1 * a2 + 2 * b1 * d2 + 2 * d1 * b2,
+            a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2)
+
+
+def _surd_sum(*terms):
+    return tuple(sum(parts) for parts in zip(*terms))
+
+
+def _hamilton(p, q):
+    (w1, x1, y1, z1), (w2, x2, y2, z2) = p, q
+
+    def neg(v):
+        return tuple(-c for c in v)
+
+    m = _surd_mul
+    return (_surd_sum(m(w1, w2), neg(m(x1, x2)), neg(m(y1, y2)), neg(m(z1, z2))),
+            _surd_sum(m(w1, x2), m(x1, w2), m(y1, z2), neg(m(z1, y2))),
+            _surd_sum(m(w1, y2), neg(m(x1, z2)), m(y1, w2), m(z1, x2)),
+            _surd_sum(m(w1, z2), m(x1, y2), neg(m(y1, x2)), m(z1, w2)))
+
+
+def test_quaternion_coordinates_multiply_like_the_table():
+    """An independent Fraction quaternion product of the stored coordinates
+    lands on the table's entry for every product with a generator, and every
+    coordinate is a unit quaternion."""
+    for G in (quaternion_group(), binary_tetrahedral_group(),
+              binary_octahedral_group(), binary_icosahedral_group()):
+        coords = [tuple(tuple(Fraction(c, DENOM) for c in comp) for comp in q)
+                  for q in quaternion_coordinates(G)]
+        assert len(set(coords)) == G.order
+        for q in coords:
+            assert _surd_sum(*(_surd_mul(c, c) for c in q)) == (1, 0, 0, 0)
+        for x in range(G.order):
+            for s in G.generators:
+                assert _hamilton(coords[x], coords[s]) == coords[G.mul(x, s)]
+
+
+def test_quaternion_product_off_the_lattice_raises():
+    quarter = ((1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0))  # 1/4
+    with pytest.raises(NotAGroup):
+        quat_mul(quarter, quarter)
 
 
 def test_conjugacy_classes_cyclic():
