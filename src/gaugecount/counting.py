@@ -1,23 +1,25 @@
 """Exact dimension counting for gauge-invariant Hilbert spaces.
 
 The engine averages the gauge projector over site transformations h_x.  A
-link t -> x keeps #{g : h_t g = g phi(h_x)} of its values: |G|/|C| when h_t
-lies in the class C of phi(h_x), and zero otherwise (phi is the identity on
-untwisted links).  Untwisted links thus pin every site of a connected
-component K of the untwisted links to one class C_K, and the dimension is a
-single contraction of exact class sums
+link l: t -> x keeps #{g : h_t g = g phi_l(h_x)} of its values: |G|/|C| when
+h_t lies in the class C of phi_l(h_x), and zero otherwise (phi_l is the
+identity on untwisted links).  Untwisted links thus pin every site of a
+connected component K of the untwisted links to one class C_K, and the
+dimension is a single contraction of exact class sums
 
     dim = sum_{C_K}  prod_links |G|/|C_K(tail)|
-            * prod_x chi_x(C_K(x)) * #{h in C_K(x) : class(phi(h)) = C_K(t)
-                                          for each twisted link t -> x} / |G|
+            * prod_x chi_x(C_K(x)) * #{h in C_K(x) : class(phi_l(h)) = C_K(t)
+                                          for each twisted link l: t -> x} / |G|
 
-over cyclotomic numbers.  Boundary kinds are data fed to this one sum: a
-sink link (phi = constant identity) forces its tail's component into the
-identity class; a twisted link inside a component weights its head by
-alpha(C) = #{h in C : phi(h) in C} / |C|; a free site (no untwisted link,
-tail of no twisted link, only sink links in) decouples into the factor
+over cyclotomic numbers.  Boundary conditions are the per-link maps phi_l,
+fed to this one sum as data: a sink link (phi_l constant, so everything goes
+to the identity) forces its tail's component into the identity class; a
+twisted link inside a component weights its head by
+alpha(C) = #{h in C : phi_l(h) in C} / |C|; a free site (no untwisted link,
+tail of no twisted link, only constant maps in) decouples into the factor
 (1/|G|) sum_g chi_x(g); twisted links between components become small
-factor tables, summed out by bucket elimination onto the component of the
+factor tables, read off one joint class histogram per distinct set of maps
+into a head and summed out by bucket elimination onto the component of the
 lowest-numbered constrained site, whose classes give the per-class breakdown.
 The cost follows distinct characters and nonzero entries, not sites or class
 tuples: sites with equal character values share one power, and elimination
@@ -85,8 +87,8 @@ class CountReport:
     edge_count: int
     bulk_site_count: int
     free_sites: tuple[int, ...]
-    twist_kind: str  # "none" | "sink" | "proper"
-    twisted_head_count: int
+    twist_kind: str  # "none" | "sink" (constant maps only) | "proper"
+    twisted_head_count: int  # heads of links under a non-constant map
     class_sizes: tuple[int, ...]
     per_class: tuple[Cyclotomic, ...]
     alpha: Optional[tuple[Fraction, ...]]
@@ -108,8 +110,6 @@ def count_general(G: FiniteGroup,
     """
     if not same_group(G, classes.group):
         raise GroupMismatch("group and class table disagree")
-    if twist is not None and not same_group(twist.endo.group, G):
-        raise GroupMismatch("twist endomorphism lives over a different group")
     V, E = L.site_count, L.edge_count
     if isinstance(site_chars, ClassFunction):
         chars: list[ClassFunction] = [site_chars] * V
@@ -121,27 +121,42 @@ def count_general(G: FiniteGroup,
         if not same_group(ch.group, G):
             raise GroupMismatch("site character lives over a different group")
 
+    # the twist as data: each twisted link names one distinct map, interned by
+    # its image; identity maps leave their links untwisted
+    maps = twist.maps if twist is not None else {}
+    index: dict[tuple[int, ...], int] = {}  # image -> map number
+    map_of: dict[int, int] = {}  # twisted link -> map number
+    identity = tuple(range(G.order))
+    for i, endo in sorted(maps.items()):
+        if not 0 <= i < E:
+            raise BadParams(f"twisted link index {i} out of range for {E} links")
+        if not same_group(endo.group, G):
+            raise GroupMismatch("twist endomorphism lives over a different group")
+        if endo.image != identity:
+            map_of[i] = index.setdefault(endo.image, len(index))
     warnings: list[str] = []
-    twisted: frozenset[int] = frozenset()
-    if twist is not None and twist.edges:
-        if twist.endo.is_identity_map():
-            warnings.append("identity twist normalized to untwisted links")
-        else:
-            twisted = twist.edges
-    for i in sorted(twisted):
+    if len(map_of) < len(maps):
+        warnings.append("identity twist normalized to untwisted links")
+    images = list(index)
+    # a constant map sends everything to the identity: a sink link
+    constant = [all(v == G.identity for v in img) for img in images]
+    proper = tuple(m for m, c in enumerate(constant) if not c)
+    for i in map_of:
         t, h = L.edges[i]
         if t == h:
             warnings.append(f"twisted link {i} is a self-loop")
-    phi = twist.endo.image if twisted else range(G.order)
-    sink = bool(twisted) and twist.endo.is_constant_identity()
-    kind = "sink" if sink else "proper" if twisted else "none"
 
-    n_cls, sizes = classes.n_classes, classes.sizes
-    hits = [[0] * n_cls for _ in range(n_cls)]  # hits[c][d] = #{h in C_c : phi(h) in C_d}
-    for g in range(G.order):
-        hits[classes.class_of[g]][classes.class_of[phi[g]]] += 1
+    n_cls, sizes, class_of = classes.n_classes, classes.sizes, classes.class_of
+    hists: dict[tuple[int, ...], list] = {}  # maps -> sorted #h per (class(h), class(phi_m(h))...)
 
-    untwisted = [e for i, e in enumerate(L.edges) if i not in twisted]
+    def histogram(ms: tuple[int, ...]) -> list:
+        if ms not in hists:
+            hists[ms] = sorted(Counter(
+                (class_of[g],) + tuple(class_of[images[m][g]] for m in ms)
+                for g in range(G.order)).items())
+        return hists[ms]
+
+    untwisted = [e for i, e in enumerate(L.edges) if i not in map_of]
     comps = connected_components(V, untwisted)
     comp_of = [0] * V
     for k, members in enumerate(comps):
@@ -151,35 +166,38 @@ def count_general(G: FiniteGroup,
     for t, h in untwisted:
         linked[t] = linked[h] = True
     out_links = [0] * len(comps)
-    tails_into: dict[int, set[int]] = {}  # head site -> components of its tails
+    into: dict[int, set[tuple[int, int]]] = {}  # head site -> (map, tail component)
     for i, (t, h) in enumerate(L.edges):
         out_links[comp_of[t]] += 1
-        if i in twisted:
+        if i in map_of:
             linked[t] = True
-            tails_into.setdefault(h, set()).add(comp_of[t])
-    # free: no untwisted link, tail of no twisted link, only sink links in
-    free = [x for x in range(V) if not linked[x] and (sink or x not in tails_into)]
+            into.setdefault(h, set()).add((map_of[i], comp_of[t]))
+    # free: no untwisted link, tail of no twisted link, only constant maps in
+    free = [x for x in range(V)
+            if not linked[x] and all(constant[m] for m, _ in into.get(x, ()))]
     free_set = set(free)
     bulk = [x for x in range(V) if x not in free_set]
 
     # one factor per twisted head, over its component (none for a free head,
-    # whose sink links ignore its class) and its tails' components, which
-    # must all share one class d; equal factors are merged into a power
-    head_factors = Counter((None if x in free_set else comp_of[x], frozenset(tails))
-                           for x, tails in tails_into.items())
+    # whose constant maps ignore its class) and its tails' components: the
+    # share of h in the head's class C with class(phi_m(h)) = the class of
+    # each tail under map m; equal factors are merged into a power
+    head_factors = Counter((None if x in free_set else comp_of[x], frozenset(pairs))
+                           for x, pairs in into.items())
     # rational weight per component and class: (|G|/|C|)^(links out - sites),
     # times every factor that involves this component alone
     weight = [[Fraction(G.order, sizes[c]) ** (out_links[k] - len(comps[k]))
                for c in range(n_cls)] for k in range(len(comps))]
     factors: list[tuple[tuple[int, ...], dict]] = []
-    for (head, tails), mult in head_factors.items():
-        scope = tuple(sorted(tails | ({head} if head is not None else set())))
+    for (head, pairs), mult in head_factors.items():
+        ms = tuple(sorted({m for m, _ in pairs}))
+        col = {m: j for j, m in enumerate(ms, 1)}
+        scope = tuple(sorted({k for _, k in pairs} | ({head} if head is not None else set())))
         table = {}
-        for c in range(n_cls):
-            for d in range(n_cls):
-                if hits[c][d] and (head not in tails or c == d):
-                    key = tuple(c if v == head else d for v in scope)
-                    table[key] = Fraction(hits[c][d], sizes[c]) ** mult
+        for key, n in histogram(ms):
+            at = {} if head is None else {head: key[0]}
+            if all(at.setdefault(k, key[col[m]]) == key[col[m]] for m, k in pairs):
+                table[tuple(at[v] for v in scope)] = Fraction(n, sizes[key[0]]) ** mult
         if len(scope) == 1:
             weight[scope[0]] = [w * table.get((c,), 0) for c, w in enumerate(weight[scope[0]])]
         else:
@@ -264,6 +282,10 @@ def count_general(G: FiniteGroup,
             f"nonnegative={witness.nonnegative}")
     total = int(total_cyc.rational_value())
 
+    # alpha(C): the share of C that every non-constant map keeps in C
+    alpha = tuple(Fraction(sum(n for key, n in histogram(proper) if key == (c,) * len(key)), z)
+                  for c, z in enumerate(sizes)) if proper else None
+
     return CountReport(
         total=total,
         group_name=G.name,
@@ -272,12 +294,12 @@ def count_general(G: FiniteGroup,
         edge_count=E,
         bulk_site_count=len(bulk),
         free_sites=tuple(free),
-        twist_kind=kind,
-        twisted_head_count=len(tails_into) if kind == "proper" else 0,
+        twist_kind="proper" if proper else "sink" if images else "none",
+        twisted_head_count=sum(any(not constant[m] for m, _ in pairs)
+                               for pairs in into.values()),
         class_sizes=classes.sizes,
         per_class=tuple(per_class),
-        alpha=(tuple(Fraction(hits[c][c], sizes[c]) for c in range(n_cls))
-               if kind == "proper" else None),
+        alpha=alpha,
         free_factor=free_factor,
         witness=witness,
         warnings=tuple(warnings),
@@ -298,13 +320,6 @@ def _flavour_product(matter: FermionMatter, classes: ConjugacyClassTable,
     return total
 
 
-def fermion_sector_character(matter: FermionMatter, classes: ConjugacyClassTable,
-                             sign: int = 1) -> ClassFunction:
-    """Per-site Fock character prod_f det(1 + sign rho_f)^spinor_count."""
-    return _flavour_product(matter, classes,
-                            lambda rep: fermion_site_character(rep, classes, sign=sign))
-
-
 def fermion_site_characters(matter: FermionMatter, classes: ConjugacyClassTable,
                             n_sites: int, sign: int = 1) -> list[ClassFunction]:
     """Per-site Fock characters with the vacuum weight folded into each site.
@@ -315,7 +330,8 @@ def fermion_site_characters(matter: FermionMatter, classes: ConjugacyClassTable,
     weight per site (rather than as one global factor) keeps the count right
     even when some sites decouple from the class sum.
     """
-    base = fermion_sector_character(matter, classes, sign=sign)
+    base = _flavour_product(matter, classes,
+                            lambda rep: fermion_site_character(rep, classes, sign=sign))
 
     def dress(extra: ClassFunction) -> ClassFunction:
         return ClassFunction(classes.group,
@@ -351,17 +367,6 @@ def site_characters(matter: MatterSpec, classes: ConjugacyClassTable,
     raise BadParams(f"unknown matter specification {matter!r}")
 
 
-def count_fermion(G: FiniteGroup, L: LatticeGraph, matter: FermionMatter,
-                  twist: Optional[TwistSpec] = None,
-                  classes: Optional[ConjugacyClassTable] = None,
-                  parity_sign: int = 1) -> CountReport:
-    """Fock-space dimension count; parity_sign=-1 weights by fermion parity."""
-    cls = classes or conjugacy_classes(G)
-    chars = site_characters(matter, cls, L.site_count, sign=parity_sign)
-    return count_general(G, cls, L, chars, twist=twist,
-                         require_nonnegative=(parity_sign == 1))
-
-
 @dataclass(frozen=True)
 class ParitySplit:
     """Dimensions of the even and odd fermion-parity sectors."""
@@ -377,8 +382,8 @@ def count_fermion_parity_split(G: FiniteGroup, L: LatticeGraph,
                                twist: Optional[TwistSpec] = None,
                                classes: Optional[ConjugacyClassTable] = None) -> ParitySplit:
     cls = classes or conjugacy_classes(G)
-    t_plus = count_fermion(G, L, matter, twist=twist, classes=cls, parity_sign=1).total
-    t_minus = count_fermion(G, L, matter, twist=twist, classes=cls, parity_sign=-1).total
+    t_plus = count(G, L, matter, twist=twist, classes=cls, parity_sign=1).total
+    t_minus = count(G, L, matter, twist=twist, classes=cls, parity_sign=-1).total
     if (t_plus + t_minus) % 2 or (t_plus - t_minus) % 2 or t_plus < abs(t_minus):
         raise NonIntegralResult(
             f"parity split is not a pair of nonnegative integers: "
@@ -390,22 +395,24 @@ def count_fermion_parity_split(G: FiniteGroup, L: LatticeGraph,
 def count(G: FiniteGroup, L: LatticeGraph, matter: MatterSpec,
           twist: Optional[TwistSpec] = None,
           dangling_attach: Optional[Sequence[int]] = None,
-          classes: Optional[ConjugacyClassTable] = None) -> CountReport:
+          classes: Optional[ConjugacyClassTable] = None,
+          parity_sign: int = 1) -> CountReport:
     """Count for any matter specification.
 
     dangling_attach extends the lattice by one unconstrained virtual site fed
-    by sink links from the listed sites; it cannot be combined with an
-    explicit twist.  Matter always lives on the physical sites only.
+    by sink links (links under the constant map) from the listed sites; they
+    join the maps of `twist`, whose link indices refer to L.  Matter always
+    lives on the physical sites only.  parity_sign=-1 weights fermion modes
+    by parity, giving a signed trace.
     """
     cls = classes or conjugacy_classes(G)
     n_phys = L.site_count
     if dangling_attach is not None:
-        if twist is not None:
-            raise BadParams("dangling boundary and explicit twist are exclusive")
-        L, twist = dangling_boundary_extension(L, tuple(dangling_attach), G)
-    chars = site_characters(matter, cls, n_phys)
+        L, twist = dangling_boundary_extension(L, tuple(dangling_attach), G, twist)
+    chars = site_characters(matter, cls, n_phys, sign=parity_sign)
     chars += [constant_class_function(cls, 1)] * (L.site_count - n_phys)
-    return count_general(G, cls, L, chars, twist=twist)
+    return count_general(G, cls, L, chars, twist=twist,
+                         require_nonnegative=(parity_sign == 1))
 
 
 def total_hilbert_dim(G: FiniteGroup, L: LatticeGraph, matter: MatterSpec) -> int:

@@ -195,13 +195,11 @@ class Cyclotomic:
         o = Cyclotomic._coerce(other)
         if o is None:
             return NotImplemented
-        if o.order == 1:
-            q = o.coeffs[0]
+        if o.order == 1 or self.order == 1:
+            v, q = (self, o.coeffs[0]) if o.order == 1 else (o, self.coeffs[0])
             if not q:
                 return _ZERO
-            return Cyclotomic(self.order, tuple(c * q for c in self.coeffs))
-        if self.order == 1:
-            return o * self.coeffs[0]
+            return Cyclotomic(v.order, tuple(c * q for c in v.coeffs))
         m = self.order * o.order // gcd(self.order, o.order)
         a, b = self._to_order(m), o._to_order(m)
         pairs: dict[int, Fraction] = {}
@@ -222,14 +220,13 @@ class Cyclotomic:
         if k < 0:
             inv = self.inverse()
             return inv ** (-k)
-        result = _ONE
-        base = self
+        result, base = None, self
         while k:
             if k & 1:
-                result = result * base
+                result = base if result is None else result * base
             base = base * base if k > 1 else base
             k >>= 1
-        return result
+        return _ONE if result is None else result
 
     def inverse(self) -> "Cyclotomic":
         """Multiplicative inverse; currently only for rationals and roots of unity."""

@@ -174,12 +174,6 @@ def _greedy_generating_set(table: Sequence[Sequence[int]], e: int) -> tuple[int,
     return tuple(gens)
 
 
-def validate_table(table: Sequence[Sequence[int]]) -> tuple[int, tuple[int, ...]]:
-    """Check the group axioms; return (identity, inverse table)."""
-    G = group_from_table(table)
-    return G.identity, G.inv_table
-
-
 def group_from_table(
     table: Sequence[Sequence[int]],
     labels: Optional[Sequence[str]] = None,

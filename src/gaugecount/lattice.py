@@ -9,7 +9,7 @@ endomorphism on twisted links.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .autos import GroupEndomorphism, constant_identity_endo, is_endomorphism
 from .errors import BadDims, BadParams, NotAHomomorphism, ParseError
@@ -117,21 +117,22 @@ def is_connected(L: LatticeGraph) -> bool:
 
 @dataclass(frozen=True)
 class TwistSpec:
-    """An endomorphism applied to the head factor of the listed links."""
+    """Per-link boundary maps: link index -> the endomorphism applied to that
+    link's head factor.  Links not listed are untwisted; a constant map makes
+    a sink link."""
 
-    endo: GroupEndomorphism
-    edges: frozenset[int]
+    maps: Mapping[int, GroupEndomorphism]
 
 
 def make_twist(L: LatticeGraph, phi: GroupEndomorphism,
                edges: Iterable[int]) -> TwistSpec:
-    idx = frozenset(edges)
+    idx = sorted(set(edges))
     for i in idx:
         if not 0 <= i < L.edge_count:
             raise BadParams(f"twisted link index {i} out of range")
     if not is_endomorphism(phi.group, phi.image):
         raise NotAHomomorphism("twist map is not an endomorphism")
-    return TwistSpec(phi, idx)
+    return TwistSpec(dict.fromkeys(idx, phi))
 
 
 def twist_on_wrap_edges(L: LatticeGraph, phi: GroupEndomorphism,
@@ -143,16 +144,20 @@ def twist_on_wrap_edges(L: LatticeGraph, phi: GroupEndomorphism,
 
 
 def dangling_boundary_extension(L: LatticeGraph, attach_sites: Sequence[int],
-                                G: FiniteGroup) -> tuple[LatticeGraph, TwistSpec]:
+                                G: FiniteGroup, twist: Optional[TwistSpec] = None
+                                ) -> tuple[LatticeGraph, TwistSpec]:
     """Attach each listed site to one shared virtual site by a sink link.
 
-    Sink links carry the constant-identity twist, which freezes their tail
-    transformations and leaves the virtual head site unconstrained.  An empty
-    attach list returns the lattice unchanged with an empty twist.
+    Sink links carry the constant-identity map, which freezes their tail
+    transformations and leaves the virtual head site unconstrained.  They are
+    added to the maps of `twist`, whose links must lie in L.  An empty attach
+    list returns the lattice unchanged with `twist` (empty when None).
     """
-    phi = constant_identity_endo(G)
+    maps = dict(twist.maps) if twist is not None else {}
+    if any(not 0 <= i < L.edge_count for i in maps):
+        raise BadParams("twist names a link outside the lattice being extended")
     if not attach_sites:
-        return L, TwistSpec(phi, frozenset())
+        return L, TwistSpec(maps)
     for s in attach_sites:
         if not 0 <= s < L.site_count:
             raise BadParams(f"attach site {s} out of range")
@@ -161,8 +166,8 @@ def dangling_boundary_extension(L: LatticeGraph, attach_sites: Sequence[int],
     L2 = LatticeGraph(L.site_count + 1, new_edges,
                       name=(L.name + "_dangling") if L.name else "dangling",
                       wrap_edges=L.wrap_edges)
-    twisted = frozenset(range(L.edge_count, len(new_edges)))
-    return L2, TwistSpec(phi, twisted)
+    maps.update(dict.fromkeys(range(L.edge_count, len(new_edges)), constant_identity_endo(G)))
+    return L2, TwistSpec(maps)
 
 
 # ---------------------------------------------------------------------------

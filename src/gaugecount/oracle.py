@@ -97,8 +97,9 @@ def burnside_count(G: FiniteGroup, L: LatticeGraph,
     weights = [tuple(_canonical_weight(w) for w in row) for row in site_weights]
     if any(len(row) != n for row in weights):
         raise BadParams("each weight row must cover every group element")
-    twisted = twist.edges if twist is not None else frozenset()
-    phi = twist.endo.image if twist is not None else None
+    maps = {i: endo.image for i, endo in twist.maps.items()} if twist is not None else {}
+    if any(not 0 <= i < E for i in maps):
+        raise BadParams(f"twist names a link outside the {E} links of the lattice")
     M = pair_count_table(G)
 
     supports = [tuple(g for g in range(n) if row[g] != 0) for row in weights]
@@ -113,7 +114,7 @@ def burnside_count(G: FiniteGroup, L: LatticeGraph,
     for h in itertools.product(*supports):
         link_prod = 1
         for i, (t, hd) in enumerate(L.edges):
-            b = phi[h[hd]] if i in twisted else h[hd]
+            b = maps[i][h[hd]] if i in maps else h[hd]
             link_prod *= M[h[t]][b]
             if not link_prod:
                 break
@@ -218,9 +219,7 @@ def oracle_count(G: FiniteGroup, L: LatticeGraph, matter: MatterSpec,
     """Element-level count for any matter specification (engine cross-check)."""
     n_phys = L.site_count
     if dangling_attach is not None:
-        if twist is not None:
-            raise BadParams("dangling boundary and explicit twist are exclusive")
-        L, twist = dangling_boundary_extension(L, tuple(dangling_attach), G)
+        L, twist = dangling_boundary_extension(L, tuple(dangling_attach), G, twist)
     ones = (1,) * G.order
 
     if isinstance(matter, PureGauge):

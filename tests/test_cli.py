@@ -253,6 +253,56 @@ def test_dangling_attach_config(tmp_path, capsys):
     assert "total: 1" in out and "twist: sink" in out
 
 
+def test_twist_combines_with_dangling_attach(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "group": {"family": "cyclic", "params": [4]},
+        "lattice": {"dims": [3], "periodic": True},
+        "matter": {"kind": "fermion", "flavours": [{"builtin": "zn_charge", "charge": 1}]},
+        "twist": {"endo": "inversion", "wrap_dim": 0},
+        "dangling_attach": [0, 2],
+    })
+    assert main(["count", "--config", cfg, "--format", "json", "--no-timestamp"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["twist_kind"] == "proper"
+    assert payload["result"]["free_sites"] == [3]
+    total = payload["result"]["total"]
+    assert main(["verify", "--config", cfg]) == 0
+    assert f"OK: formula={total} oracle={total}" in capsys.readouterr().out
+
+
+def _hyper(dims, periodic=True):
+    return {"dims": list(dims), "periodic": periodic}
+
+
+# the count jobs of the benchmark's cli_cold workload, with their recorded reports
+GOLDEN_COUNT_JOBS = (
+    ("count_2I_fermion_4x4_json", "json", {
+        "group": {"family": "binary_icosahedral"}, "lattice": _hyper((4, 4)),
+        "matter": {"kind": "fermion", "flavours": [{"builtin": "su2_fundamental"}],
+                   "spinor_count": 2, "vacuum": "staggered"}}),
+    ("count_S6_coset_4x4_json", "json", {
+        "group": {"family": "symmetric", "params": [6]}, "lattice": _hyper((4, 4)),
+        "matter": {"kind": "scalar", "action": "coset_first_subgroup"}}),
+    ("count_D4_fermion_inner_6x6_text", "text", {
+        "group": {"family": "dihedral", "params": [4]}, "lattice": _hyper((6, 6)),
+        "matter": {"kind": "fermion", "flavours": [{"builtin": "dihedral_rotation"}]},
+        "twist": {"endo": {"inner": 1}, "wrap_dim": 0}}),
+    ("count_Z4_fermion_dangling_8x8_csv", "csv", {
+        "group": {"family": "cyclic", "params": [4]}, "lattice": _hyper((8, 8), False),
+        "matter": {"kind": "fermion", "flavours": [{"builtin": "zn_charge", "charge": 1}]},
+        "dangling_attach": list(range(8))}),
+)
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "expected", "cli")
+
+
+@pytest.mark.parametrize("name,fmt,job", GOLDEN_COUNT_JOBS, ids=[j[0] for j in GOLDEN_COUNT_JOBS])
+def test_count_reports_match_recorded_bytes(tmp_path, capsysbinary, name, fmt, job):
+    cfg = write_config(tmp_path, job)
+    assert main(["count", "--config", cfg, "--format", fmt, "--no-timestamp"]) == 0
+    with open(os.path.join(GOLDEN_DIR, f"{name}.out"), "rb") as f:
+        assert capsysbinary.readouterr().out == f.read()
+
+
 def test_matter_config_variants(tmp_path, capsys):
     scalar = write_config(tmp_path, {
         "group": {"family": "dihedral", "params": [4]},

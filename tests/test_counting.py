@@ -18,6 +18,7 @@ from gaugecount import (
     PureGauge,
     ScalarMatter,
     ScalarMatterPerSite,
+    TwistSpec,
     action_coset,
     action_left_mult,
     action_trivial,
@@ -29,7 +30,6 @@ from gaugecount import (
     constant_class_function,
     constant_identity_endo,
     count,
-    count_fermion,
     count_fermion_parity_split,
     count_general,
     count_zn_closed_form,
@@ -115,14 +115,14 @@ def test_fermion_hand_values():
     Q8 = quaternion_group()
     m8 = FermionMatter(flavours=(su2_fundamental_rep(Q8),),
                        spinor_count=1, vacuum="trivial")
-    assert count_fermion(Q8, L, m8).total == 28
+    assert count(Q8, L, m8).total == 28
     s8 = count_fermion_parity_split(Q8, L, m8)
     assert (s8.dim_even, s8.dim_odd) == (28, 0)
 
     D4 = dihedral_group(4)
     m4 = FermionMatter(flavours=(dihedral_rotation_rep(D4, 4),),
                        spinor_count=1, vacuum="trivial")
-    assert count_fermion(D4, L, m4).total == 20
+    assert count(D4, L, m4).total == 20
     s4 = count_fermion_parity_split(D4, L, m4)
     assert (s4.dim_even, s4.dim_odd) == (20, 0)
     assert s4.trace_plain == 20 and s4.trace_weighted == 20
@@ -144,8 +144,8 @@ def test_fermion_signed_trace_on_isolated_site():
     iso = LatticeGraph(1, ())
     m = FermionMatter(flavours=(one_dim_to_rep(zn_charge_rep(Z2, 1)),),
                       spinor_count=1, vacuum=zn_charge_rep(Z2, 1))
-    assert count_fermion(Z2, iso, m, parity_sign=1).total == 1
-    assert count_fermion(Z2, iso, m, parity_sign=-1).total == -1
+    assert count(Z2, iso, m, parity_sign=1).total == 1
+    assert count(Z2, iso, m, parity_sign=-1).total == -1
     sp = count_fermion_parity_split(Z2, iso, m)
     assert (sp.dim_even, sp.dim_odd) == (0, 1)
     assert (sp.trace_plain, sp.trace_weighted) == (1, -1)
@@ -208,8 +208,13 @@ def test_dangling_attach_equals_manual_extension():
     L2, tw = dangling_boundary_extension(L, (1,), Z3)
     manual = count(Z3, L2, PureGauge(), twist=tw)
     assert via_arg.total == manual.total == 1
-    with pytest.raises(BadParams):
-        count(Z3, L, PureGauge(), twist=tw, dangling_attach=[1])
+    # a twist on the physical links combines with the dangling boundary
+    inv = make_twist(L, inversion_endo(Z3), [0])
+    both = count(Z3, L, PureGauge(), twist=inv, dangling_attach=[1])
+    assert both.total == oracle_count(Z3, L, PureGauge(), twist=inv, dangling_attach=[1])
+    L3, tw3 = dangling_boundary_extension(L, (1,), Z3, inv)
+    assert count(Z3, L3, PureGauge(), twist=tw3) == both
+    assert both.twist_kind == "proper" and both.free_sites == (2,)
 
 
 def test_inversion_twist_alpha_and_total():
@@ -241,37 +246,101 @@ def test_disconnected_bulk_matches_oracle():
     assert r.bulk_site_count == 2 and r.free_sites == ()
 
 
+def _boundary_maps(G):
+    """The identity, the constant map, inversion when abelian and every inner
+    automorphism, one endomorphism per distinct image."""
+    endos = [identity_endo(G), constant_identity_endo(G)]
+    endos += [inner_automorphism(G, h) for h in range(G.order)]
+    if G.is_abelian():
+        endos.append(inversion_endo(G))
+    return list({e.image: e for e in endos}.values())
+
+
+def _per_link_twist(rng, maps, n_links, p=0.5):
+    """Each link is twisted with probability p, under its own map."""
+    return TwistSpec({i: rng.choice(maps) for i in range(n_links) if rng.random() < p})
+
+
+def _distinct_maps(tw):
+    return len({e.image for e in tw.maps.values() if not e.is_identity_map()})
+
+
 def test_random_multigraphs_match_burnside_oracle():
     rng = random.Random(2173)
     groups = (cyclic_group(2), cyclic_group(3), cyclic_group(4),
               symmetric_group(3), dihedral_group(4), quaternion_group())
     cases = []
     for G in groups:
-        endos = [identity_endo(G), constant_identity_endo(G)]
-        endos += [inner_automorphism(G, h) for h in range(G.order)]
-        if G.is_abelian():
-            endos.append(inversion_endo(G))
         actions = [action_left_mult(G), action_trivial(G, 1), action_trivial(G, 2),
                    action_coset(G, first_proper_subgroup(G))]
-        cases.append((G, conjugacy_classes(G), endos, actions))
-    multi = 0
+        cases.append((G, conjugacy_classes(G), _boundary_maps(G), actions))
+    multi = mixed = 0
     for _ in range(400):
-        G, cls, endos, actions = rng.choice(cases)
+        G, cls, maps, actions = rng.choice(cases)
         V = rng.randint(1, 4)
         edges = tuple((rng.randrange(V), rng.randrange(V))
-                      for _ in range(rng.randint(0, 5)))
+                      for _ in range(rng.randint(0, 6)))
         L = LatticeGraph(V, edges)
-        tw = make_twist(L, rng.choice(endos),
-                        [i for i in range(len(edges)) if rng.random() < 0.5])
+        tw = _per_link_twist(rng, maps, len(edges), p=0.7)
         site_actions = [rng.choice(actions) for _ in range(V)]
         chars = [fixed_point_character(a, cls) for a in site_actions]
         rows = [[fixed_point_count(a, g) for g in range(G.order)]
                 for a in site_actions]
         assert (count_general(G, cls, L, chars, twist=tw).total
                 == burnside_count(G, L, rows, twist=tw)), (G.name, edges, tw)
-        untwisted = [e for i, e in enumerate(edges) if i not in tw.edges]
+        untwisted = [e for i, e in enumerate(edges) if i not in tw.maps]
         multi += len(connected_components(V, untwisted)) > 1
-    assert multi >= 200
+        mixed += _distinct_maps(tw) >= 2
+    assert multi >= 200 and mixed >= 400 // 3
+
+
+def test_dangling_boundary_with_twist_matches_oracle():
+    rng = random.Random(907)
+    Z3, Z4, D3, Q8 = cyclic_group(3), cyclic_group(4), dihedral_group(3), quaternion_group()
+    cases = []
+    for G, rep in ((Z3, one_dim_to_rep(zn_charge_rep(Z3, 1))),
+                   (Z4, one_dim_to_rep(zn_charge_rep(Z4, 1))),
+                   (D3, dihedral_rotation_rep(D3, 3)), (Q8, su2_fundamental_rep(Q8))):
+        matters = [PureGauge(), ScalarMatter(action_coset(G, first_proper_subgroup(G))),
+                   FermionMatter(flavours=(rep,), spinor_count=1, vacuum="trivial")]
+        cases.append((G, _boundary_maps(G), matters))
+    proper = 0
+    for _ in range(60):
+        G, maps, matters = rng.choice(cases)
+        V = rng.randint(1, 3)
+        edges = tuple((rng.randrange(V), rng.randrange(V))
+                      for _ in range(rng.randint(0, 4)))
+        L = LatticeGraph(V, edges)
+        tw = _per_link_twist(rng, maps, len(edges), p=0.6)
+        attach = rng.sample(range(V), rng.randint(1, V))
+        matter = rng.choice(matters)
+        report = count(G, L, matter, twist=tw, dangling_attach=attach)
+        assert report.total == oracle_count(G, L, matter, twist=tw, dangling_attach=attach), \
+            (G.name, edges, attach, tw)
+        assert report.free_sites[-1:] == (V,)
+        proper += report.twist_kind == "proper"
+    assert proper >= 20
+
+
+def test_twist_link_index_out_of_range_is_refused():
+    Z3 = cyclic_group(3)
+    L = lattice_chain(2)
+    cls = conjugacy_classes(Z3)
+    tw = TwistSpec({5: inversion_endo(Z3)})
+    with pytest.raises(BadParams):
+        count(Z3, L, PureGauge(), twist=tw)
+    with pytest.raises(BadParams):
+        count_general(Z3, cls, L, constant_class_function(cls, 1), twist=tw)
+    with pytest.raises(BadParams):
+        oracle_count(Z3, L, PureGauge(), twist=tw)
+    with pytest.raises(BadParams):
+        burnside_count(Z3, L, [[1] * 3] * 2, twist=tw)
+    # a twist built for the dangling extension names a sink link, not one of L's
+    ext, sinks = dangling_boundary_extension(L, (1,), Z3)
+    with pytest.raises(BadParams):
+        count(Z3, L, PureGauge(), twist=sinks, dangling_attach=[1])
+    with pytest.raises(BadParams):
+        oracle_count(Z3, L, PureGauge(), twist=sinks, dangling_attach=[1])
 
 
 def _noncentral(G):
@@ -462,7 +531,9 @@ def test_count_dispatch_matches_direct_entry_points():
     L = lattice_chain(2, periodic=True)
     fm = FermionMatter(flavours=(dihedral_rotation_rep(D4, 4),),
                        spinor_count=1, vacuum="trivial")
-    assert count(D4, L, fm).total == count_fermion(D4, L, fm).total
+    cls = conjugacy_classes(D4)
+    chars = fermion_site_characters(fm, cls, L.site_count)
+    assert count(D4, L, fm).total == count_general(D4, cls, L, chars).total
 
 
 def test_report_structure():

@@ -48,7 +48,6 @@ from gaugecount import (
     symmetric_group,
     trivial_group,
     validate_action,
-    validate_table,
 )
 from gaugecount.groups import quaternion_coordinates
 from gaugecount.quaternions import DENOM, quat_mul
@@ -96,22 +95,22 @@ def test_builtin_group_dispatch():
 
 def test_validate_table_rejects_nonassociative_loop():
     with pytest.raises(NotAGroup):
-        validate_table(LOOP5)
+        group_from_table(LOOP5)
 
 
 def test_validate_table_rejects_broken_latin_square():
     bad = [[0, 1], [1, 1]]
     with pytest.raises(NotAGroup):
-        validate_table(bad)
+        group_from_table(bad)
     with pytest.raises(NotAGroup):
-        validate_table([])
+        group_from_table([])
 
 
 def test_validate_table_rejects_missing_identity():
     # subtraction mod 3: a latin square with a right identity but no left one
     sub3 = [[(a - b) % 3 for b in range(3)] for a in range(3)]
     with pytest.raises(NotAGroup):
-        validate_table(sub3)
+        group_from_table(sub3)
 
 
 def _intercalate_table(n, a, c):

@@ -82,7 +82,7 @@ def test_make_twist_validation():
     G = cyclic_group(4)
     L = lattice_chain(2, periodic=True)
     tw = make_twist(L, inversion_endo(G), [1])
-    assert tw.edges == frozenset({1})
+    assert tw.maps == {1: inversion_endo(G)}
     with pytest.raises(BadParams):
         make_twist(L, inversion_endo(G), [5])
     bogus = GroupEndomorphism(G, (0, 2, 1, 3))
@@ -94,7 +94,7 @@ def test_twist_on_wrap_edges():
     G = cyclic_group(3)
     torus = lattice_hypercubic((2, 2), periodic=True)
     tw = twist_on_wrap_edges(torus, inversion_endo(G), 0)
-    assert tw.edges == frozenset(torus.wrap_edges[0])
+    assert set(tw.maps) == set(torus.wrap_edges[0])
     with pytest.raises(BadParams):
         twist_on_wrap_edges(torus, inversion_endo(G), 5)
     bare = LatticeGraph(2, ((0, 1),))
@@ -108,12 +108,20 @@ def test_dangling_boundary_extension():
     L2, tw = dangling_boundary_extension(L, (0, 1), G)
     assert L2.site_count == 3
     assert L2.edges == ((0, 1), (0, 2), (1, 2))
-    assert tw.edges == frozenset({1, 2})
-    assert tw.endo.is_constant_identity()
+    assert sorted(tw.maps) == [1, 2]
+    assert all(endo.is_constant_identity() for endo in tw.maps.values())
     same, empty = dangling_boundary_extension(L, (), G)
-    assert same is L and not empty.edges
+    assert same is L and not empty.maps
     with pytest.raises(BadParams):
         dangling_boundary_extension(L, (5,), G)
+    # a twist on L keeps its maps; the sink links join them
+    inv = inversion_endo(G)
+    L3, tw3 = dangling_boundary_extension(L, (1,), G, make_twist(L, inv, [0]))
+    assert L3.edges == ((0, 1), (1, 2))
+    assert tw3.maps[0] is inv and tw3.maps[1].is_constant_identity()
+    # a twist naming a link beyond L (a sink link of the extension) is refused
+    with pytest.raises(BadParams):
+        dangling_boundary_extension(L, (1,), G, tw)
 
 
 def test_edge_list_roundtrip():

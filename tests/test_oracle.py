@@ -197,14 +197,15 @@ def test_oracle_signed_trace():
     assert oracle_count(Z2, iso, m, parity_sign=-1) == -1
 
 
-def test_oracle_rejects_unknown_matter_and_mixed_boundaries():
+def test_oracle_rejects_unknown_matter_and_combines_boundaries():
     Z2 = cyclic_group(2)
     with pytest.raises(BadParams):
         oracle_count(Z2, lattice_chain(2), object())
-    tw = twist_on_wrap_edges(lattice_chain(2, periodic=True), inversion_endo(Z2), 0)
-    with pytest.raises(BadParams):
-        oracle_count(Z2, lattice_chain(2, periodic=True), PureGauge(),
-                     twist=tw, dangling_attach=[0])
+    Z4 = cyclic_group(4)
+    L = lattice_chain(2, periodic=True)
+    tw = twist_on_wrap_edges(L, inversion_endo(Z4), 0)
+    both = oracle_count(Z4, L, PureGauge(), twist=tw, dangling_attach=[0])
+    assert both == count(Z4, L, PureGauge(), twist=tw, dangling_attach=[0]).total
 
 
 def test_transitive_to_coset_left_mult():
