@@ -38,6 +38,7 @@ from .groups import (
     law_break,
     same_group,
 )
+from .textio import end_line, read_ints, read_records
 
 DEFAULT_AUT_BUDGET = 10_000_000
 
@@ -294,34 +295,22 @@ def hamiltonian_symmetry_check(tau: GroupEndomorphism,
 
 
 # ---------------------------------------------------------------------------
-# text format
+# text format (line grammar in textio)
 
 def endo_to_text(phi: GroupEndomorphism) -> str:
     return f"endo {phi.group.order}\n" + " ".join(map(str, phi.image)) + "\n"
 
 
 def endo_from_text(text: str, G: FiniteGroup) -> GroupEndomorphism:
-    lines = text.splitlines()
-    if not lines:
-        raise ParseError("empty endomorphism file", 1)
-    head = lines[0].split()
-    if len(head) != 2 or head[0] != "endo":
-        raise ParseError("expected 'endo |G|'", 1)
-    try:
-        order = int(head[1])
-    except ValueError:
-        raise ParseError("non-integer order", 1)
+    head, (order,), records = read_records(text, "endo", 1)
     if order != G.order:
-        raise ParseError(f"file is for group order {order}, expected {G.order}", 1)
-    tokens: list[int] = []
-    for i, ln in enumerate(lines[1:]):
-        for tok in ln.split():
-            try:
-                tokens.append(int(tok))
-            except ValueError:
-                raise ParseError("non-integer image entry", 2 + i)
-    if len(tokens) != order:
-        raise ParseError(f"expected {order} image entries, got {len(tokens)}", len(lines))
-    if any(not 0 <= v < order for v in tokens):
-        raise ParseError("image entry out of range", 2)
-    return endo_from_image(G, tokens)
+        raise ParseError(f"file is for group order {order}, expected {G.order}", head)
+    image: list[int] = []
+    for line, ln in records:
+        image += read_ints(ln.split(), line, "image entry", bound=order)
+        if len(image) > order:
+            raise ParseError(f"more than {order} image entries", line)
+    if len(image) < order:
+        raise ParseError(f"expected {order} image entries, got {len(image)}",
+                         end_line(head, records))
+    return endo_from_image(G, image)

@@ -405,6 +405,8 @@ def count(G: FiniteGroup, L: LatticeGraph, matter: MatterSpec,
     lives on the physical sites only.  parity_sign=-1 weights fermion modes
     by parity, giving a signed trace.
     """
+    if parity_sign not in (1, -1):
+        raise BadParams(f"parity_sign must be +1 or -1, got {parity_sign}")
     cls = classes or conjugacy_classes(G)
     n_phys = L.site_count
     if dangling_attach is not None:

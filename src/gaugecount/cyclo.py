@@ -159,11 +159,6 @@ class Cyclotomic:
         pairs = [(i * step, c) for i, c in enumerate(self.coeffs)]
         return _reduce_pairs(m, pairs)
 
-    def promote(self, m: int) -> "Cyclotomic":
-        if m % self.order:
-            raise ValueError(f"cannot promote order {self.order} into order {m}")
-        return Cyclotomic(m, self._to_order(m))
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):

@@ -27,6 +27,7 @@ from .errors import (
     ParseError,
     UnknownFamily,
 )
+from .textio import end_line, read_ints, read_records
 
 
 @dataclass(frozen=True)
@@ -630,7 +631,7 @@ def first_proper_subgroup(G: FiniteGroup) -> SubgroupHandle:
 
 
 # ---------------------------------------------------------------------------
-# text format: "order N", N table rows, optional "labels" section
+# text format: "order N", N table rows, optional "labels" section (see textio)
 
 def group_to_text(G: FiniteGroup) -> str:
     lines = [f"order {G.order}"]
@@ -642,36 +643,23 @@ def group_to_text(G: FiniteGroup) -> str:
 
 
 def group_from_text(text: str, name: str = "G") -> FiniteGroup:
-    lines = text.splitlines()
-    if not lines:
-        raise ParseError("empty group file", 1)
-    head = lines[0].split()
-    if len(head) != 2 or head[0] != "order":
-        raise ParseError("expected 'order N'", 1)
-    try:
-        n = int(head[1])
-    except ValueError:
-        raise ParseError(f"bad order {head[1]!r}", 1)
+    head, (n,), records = read_records(text, "order", 1)
     if n < 1:
-        raise ParseError(f"bad order {n}", 1)
-    if len(lines) < 1 + n:
-        raise ParseError(f"expected {n} table rows", len(lines))
+        raise ParseError(f"bad order {n}", head)
+    if len(records) < n:
+        raise ParseError(f"expected {n} table rows", end_line(head, records))
     table = []
-    for i in range(n):
-        parts = lines[1 + i].split()
-        try:
-            row = list(map(int, parts))
-        except ValueError:
-            raise ParseError("non-integer table entry", 2 + i)
-        if len(row) != n or min(row) < 0 or max(row) >= n:
-            raise ParseError(f"row must be {n} indices in 0..{n - 1}", 2 + i)
+    for line, ln in records[:n]:
+        row = read_ints(ln.split(), line, "table entry", bound=n)
+        if len(row) != n:
+            raise ParseError(f"row must be {n} indices", line)
         table.append(row)
     labels = None
-    rest = [ln for ln in lines[1 + n:] if ln.strip()]
-    if rest:
-        if rest[0].strip() != "labels":
-            raise ParseError("expected 'labels' section", 2 + n)
-        if len(rest) != 1 + n:
-            raise ParseError(f"expected {n} labels", 2 + n)
-        labels = [ln for ln in rest[1:]]
+    if records[n:]:
+        line, ln = records[n]
+        if ln.strip() != "labels":
+            raise ParseError("expected 'labels' section", line)
+        labels = [lb for _, lb in records[n + 1:]]
+        if len(labels) != n:
+            raise ParseError(f"expected {n} labels", line)
     return group_from_table(table, labels, name=name)

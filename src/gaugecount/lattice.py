@@ -14,6 +14,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .autos import GroupEndomorphism, constant_identity_endo, is_endomorphism
 from .errors import BadDims, BadParams, NotAHomomorphism, ParseError
 from .groups import FiniteGroup
+from .textio import read_ints, read_records
 
 Edge = tuple[int, int]
 
@@ -119,9 +120,14 @@ def is_connected(L: LatticeGraph) -> bool:
 class TwistSpec:
     """Per-link boundary maps: link index -> the endomorphism applied to that
     link's head factor.  Links not listed are untwisted; a constant map makes
-    a sink link."""
+    a sink link.  Every map must be an endomorphism (NotAHomomorphism)."""
 
     maps: Mapping[int, GroupEndomorphism]
+
+    def __post_init__(self):
+        for phi in {id(phi): phi for phi in self.maps.values()}.values():
+            if not is_endomorphism(phi.group, phi.image):
+                raise NotAHomomorphism("twist map is not an endomorphism")
 
 
 def make_twist(L: LatticeGraph, phi: GroupEndomorphism,
@@ -130,8 +136,6 @@ def make_twist(L: LatticeGraph, phi: GroupEndomorphism,
     for i in idx:
         if not 0 <= i < L.edge_count:
             raise BadParams(f"twisted link index {i} out of range")
-    if not is_endomorphism(phi.group, phi.image):
-        raise NotAHomomorphism("twist map is not an endomorphism")
     return TwistSpec(dict.fromkeys(idx, phi))
 
 
@@ -171,7 +175,7 @@ def dangling_boundary_extension(L: LatticeGraph, attach_sites: Sequence[int],
 
 
 # ---------------------------------------------------------------------------
-# text format
+# text format (line grammar in textio)
 
 def emit_edge_list(L: LatticeGraph, twisted: frozenset[int] = frozenset()) -> str:
     lines = [f"lattice {L.site_count}"]
@@ -181,32 +185,16 @@ def emit_edge_list(L: LatticeGraph, twisted: frozenset[int] = frozenset()) -> st
 
 
 def parse_edge_list(text: str) -> tuple[LatticeGraph, frozenset[int]]:
-    lines = text.splitlines()
-    if not lines or not lines[0].strip():
-        raise ParseError("empty lattice file", 1)
-    head = lines[0].split()
-    if len(head) != 2 or head[0] != "lattice":
-        raise ParseError("expected 'lattice <site_count>'", 1)
-    try:
-        n = int(head[1])
-    except ValueError:
-        raise ParseError("non-integer site count", 1)
+    head, (n,), records = read_records(text, "lattice", 1)
     if n < 0:
-        raise ParseError(f"negative site count {n}", 1)
+        raise ParseError(f"negative site count {n}", head)
     edges: list[Edge] = []
     twisted: set[int] = set()
-    for ln_no, ln in enumerate(lines[1:], start=2):
-        if not ln.strip():
-            continue
+    for line, ln in records:
         parts = ln.split()
-        if len(parts) not in (2, 3) or (len(parts) == 3 and parts[2] != "twisted"):
-            raise ParseError("expected '<tail> <head> [twisted]'", ln_no)
-        try:
-            t, h = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError("non-integer link endpoint", ln_no)
-        if not (0 <= t < n and 0 <= h < n):
-            raise ParseError(f"link endpoint out of range: ({t}, {h})", ln_no)
+        if len(parts) < 2 or parts[2:] not in ([], ["twisted"]):
+            raise ParseError("expected '<tail> <head> [twisted]'", line)
+        t, h = read_ints(parts[:2], line, "link endpoint", bound=n)
         if len(parts) == 3:
             twisted.add(len(edges))
         edges.append((t, h))

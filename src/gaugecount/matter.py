@@ -39,6 +39,7 @@ from .groups import (
     same_group,
     subgroup_as_group,
 )
+from .textio import end_line, read_floats, read_ints, read_records
 
 if TYPE_CHECKING:
     import numpy as np
@@ -583,7 +584,7 @@ def spinor_components_for_dirac(d: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# text formats
+# text formats (line grammar in textio)
 
 def action_to_text(A: GroupAction) -> str:
     lines = [f"action {A.group.order} {A.set_size}"]
@@ -593,36 +594,23 @@ def action_to_text(A: GroupAction) -> str:
 
 
 def action_from_text(text: str, G: FiniteGroup) -> GroupAction:
-    lines = [ln for ln in text.splitlines()]
-    if not lines:
-        raise ParseError("empty action file", 1)
-    head = lines[0].split()
-    if len(head) != 3 or head[0] != "action":
-        raise ParseError("expected 'action |G| |S|'", 1)
-    try:
-        order, n = int(head[1]), int(head[2])
-    except ValueError:
-        raise ParseError("non-integer header fields", 1)
+    head, (order, n), records = read_records(text, "action", 2)
     if order != G.order:
-        raise ParseError(f"file is for group order {order}, expected {G.order}", 1)
+        raise ParseError(f"file is for group order {order}, expected {G.order}", head)
     if n < 1:
-        raise ParseError(f"bad set size {n}", 1)
-    if len([ln for ln in lines[1:] if ln.strip()]) != order:
-        raise ParseError(f"expected {order} rows", len(lines))
+        raise ParseError(f"bad set size {n}", head)
+    if len(records) != order:
+        raise ParseError(f"expected {order} rows", end_line(head, records))
     table = []
-    for i, ln in enumerate(ln for ln in lines[1:] if ln.strip()):
-        parts = ln.split()
-        try:
-            row = [int(p) for p in parts]
-        except ValueError:
-            raise ParseError("non-integer table entry", 2 + i)
-        if len(row) != n or any(not 0 <= v < n for v in row):
-            raise ParseError(f"row must be {n} indices in 0..{n - 1}", 2 + i)
+    for line, ln in records:
+        row = read_ints(ln.split(), line, "table entry", bound=n)
+        if len(row) != n:
+            raise ParseError(f"row must be {n} indices", line)
         table.append(tuple(row))
     A = GroupAction(G, n, tuple(table))
     bad = validate_action(A)
     if bad is not None:
-        raise ParseError(f"not a group action: {bad[0]} violated at {bad[1]}", 1)
+        raise ParseError(f"not a group action: {bad[0]} violated at {bad[1]}", head)
     return A
 
 
@@ -640,35 +628,18 @@ def rep_to_text(rep: UnitaryRep) -> str:
 
 def rep_from_text(text: str, G: FiniteGroup) -> UnitaryRep:
     import numpy as np
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ParseError("empty rep file", 1)
-    head = lines[0].split()
-    if len(head) != 3 or head[0] != "rep":
-        raise ParseError("expected 'rep |G| dim'", 1)
-    try:
-        order, dim = int(head[1]), int(head[2])
-    except ValueError:
-        raise ParseError("non-integer header fields", 1)
+    head, (order, dim), records = read_records(text, "rep", 2)
     if order != G.order:
-        raise ParseError(f"file is for group order {order}, expected {G.order}", 1)
+        raise ParseError(f"file is for group order {order}, expected {G.order}", head)
     if dim < 1:
-        raise ParseError(f"bad dimension {dim}", 1)
-    if len(lines) != 1 + order * dim:
-        raise ParseError(f"expected {order * dim} matrix rows", len(lines))
-    mats = []
-    at = 1
-    for g in range(order):
-        rows = []
-        for i in range(dim):
-            parts = lines[at].split()
-            at += 1
-            if len(parts) != 2 * dim:
-                raise ParseError(f"expected {2 * dim} numbers", at)
-            try:
-                vals = [float(p) for p in parts]
-            except ValueError:
-                raise ParseError("non-numeric matrix entry", at)
-            rows.append([complex(vals[2 * j], vals[2 * j + 1]) for j in range(dim)])
-        mats.append(np.array(rows, dtype=complex))
+        raise ParseError(f"bad dimension {dim}", head)
+    if len(records) != order * dim:
+        raise ParseError(f"expected {order * dim} matrix rows", end_line(head, records))
+    rows = []
+    for line, ln in records:
+        vals = read_floats(ln.split(), line, "matrix entry")
+        if len(vals) != 2 * dim:
+            raise ParseError(f"expected {2 * dim} numbers", line)
+        rows.append([complex(vals[2 * j], vals[2 * j + 1]) for j in range(dim)])
+    mats = [np.array(rows[g * dim:(g + 1) * dim], dtype=complex) for g in range(order)]
     return rep_from_numeric(G, mats)

@@ -217,6 +217,8 @@ def oracle_count(G: FiniteGroup, L: LatticeGraph, matter: MatterSpec,
                  parity_sign: int = 1,
                  budget: int = DEFAULT_ORACLE_BUDGET) -> int:
     """Element-level count for any matter specification (engine cross-check)."""
+    if parity_sign not in (1, -1):
+        raise BadParams(f"parity_sign must be +1 or -1, got {parity_sign}")
     n_phys = L.site_count
     if dangling_attach is not None:
         L, twist = dangling_boundary_extension(L, tuple(dangling_attach), G, twist)

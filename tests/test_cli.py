@@ -274,31 +274,39 @@ def _hyper(dims, periodic=True):
     return {"dims": list(dims), "periodic": periodic}
 
 
-# the count jobs of the benchmark's cli_cold workload, with their recorded reports
-GOLDEN_COUNT_JOBS = (
-    ("count_2I_fermion_4x4_json", "json", {
+# the jobs of the benchmark's cli_cold workload that have recorded outputs:
+# (name, argv without the config path, config or None)
+GOLDEN_JOBS = (
+    ("count_2I_fermion_4x4_json", ["count", "--format", "json", "--no-timestamp"], {
         "group": {"family": "binary_icosahedral"}, "lattice": _hyper((4, 4)),
         "matter": {"kind": "fermion", "flavours": [{"builtin": "su2_fundamental"}],
                    "spinor_count": 2, "vacuum": "staggered"}}),
-    ("count_S6_coset_4x4_json", "json", {
+    ("count_S6_coset_4x4_json", ["count", "--format", "json", "--no-timestamp"], {
         "group": {"family": "symmetric", "params": [6]}, "lattice": _hyper((4, 4)),
         "matter": {"kind": "scalar", "action": "coset_first_subgroup"}}),
-    ("count_D4_fermion_inner_6x6_text", "text", {
+    ("count_D4_fermion_inner_6x6_text", ["count", "--format", "text", "--no-timestamp"], {
         "group": {"family": "dihedral", "params": [4]}, "lattice": _hyper((6, 6)),
         "matter": {"kind": "fermion", "flavours": [{"builtin": "dihedral_rotation"}]},
         "twist": {"endo": {"inner": 1}, "wrap_dim": 0}}),
-    ("count_Z4_fermion_dangling_8x8_csv", "csv", {
+    ("count_Z4_fermion_dangling_8x8_csv", ["count", "--format", "csv", "--no-timestamp"], {
         "group": {"family": "cyclic", "params": [4]}, "lattice": _hyper((8, 8), False),
         "matter": {"kind": "fermion", "flavours": [{"builtin": "zn_charge", "charge": 1}]},
         "dangling_attach": list(range(8))}),
+    ("verify_2T_fermion_2x2", ["verify"], {
+        "group": {"family": "binary_tetrahedral"}, "lattice": _hyper((2, 2)),
+        "matter": {"kind": "fermion", "flavours": [{"builtin": "su2_fundamental"}]}}),
+    ("group_info_2I", ["group-info", "--family", "binary_icosahedral"], None),
+    ("group_info_S6", ["group-info", "--family", "symmetric", "--params", "6"], None),
 )
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "expected", "cli")
 
 
-@pytest.mark.parametrize("name,fmt,job", GOLDEN_COUNT_JOBS, ids=[j[0] for j in GOLDEN_COUNT_JOBS])
-def test_count_reports_match_recorded_bytes(tmp_path, capsysbinary, name, fmt, job):
-    cfg = write_config(tmp_path, job)
-    assert main(["count", "--config", cfg, "--format", fmt, "--no-timestamp"]) == 0
+@pytest.mark.parametrize("name,args,job", GOLDEN_JOBS, ids=[j[0] for j in GOLDEN_JOBS])
+def test_count_reports_match_recorded_bytes(tmp_path, capsysbinary, name, args, job):
+    argv = list(args)
+    if job is not None:
+        argv[1:1] = ["--config", write_config(tmp_path, job)]
+    assert main(argv) == 0
     with open(os.path.join(GOLDEN_DIR, f"{name}.out"), "rb") as f:
         assert capsysbinary.readouterr().out == f.read()
 

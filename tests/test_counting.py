@@ -151,6 +151,12 @@ def test_fermion_signed_trace_on_isolated_site():
     assert (sp.trace_plain, sp.trace_weighted) == (1, -1)
 
 
+@pytest.mark.parametrize("counter", [count, oracle_count])
+def test_parity_sign_must_be_plus_or_minus_one(counter):
+    with pytest.raises(BadParams, match="parity_sign"):
+        counter(cyclic_group(2), lattice_chain(2), PureGauge(), parity_sign=7)
+
+
 def test_parity_split_sums_to_plain_trace():
     Q8 = quaternion_group()
     m = FermionMatter(flavours=(su2_fundamental_rep(Q8),),

@@ -1,5 +1,7 @@
 """Lattice graphs, hypercubic generators, twists, dangling boundaries."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from gaugecount import (
@@ -9,6 +11,7 @@ from gaugecount import (
     LatticeGraph,
     NotAHomomorphism,
     ParseError,
+    TwistSpec,
     connected_components,
     constant_identity_endo,
     cyclic_group,
@@ -88,6 +91,17 @@ def test_make_twist_validation():
     bogus = GroupEndomorphism(G, (0, 2, 1, 3))
     with pytest.raises(NotAHomomorphism):
         make_twist(L, bogus, [0])
+
+
+def test_twist_spec_checks_its_maps():
+    G = cyclic_group(4)
+    L = lattice_chain(2, periodic=True)
+    bogus = GroupEndomorphism(G, (0, 2, 1, 3))
+    with pytest.raises(NotAHomomorphism):
+        TwistSpec({1: bogus})
+    # the extension builds its own TwistSpec from whatever maps it is given
+    with pytest.raises(NotAHomomorphism):
+        dangling_boundary_extension(L, (0,), G, SimpleNamespace(maps={1: bogus}))
 
 
 def test_twist_on_wrap_edges():
