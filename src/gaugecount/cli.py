@@ -28,7 +28,7 @@ from .autos import (
     inner_automorphism,
     inversion_endo,
 )
-from .counting import CountReport, count, total_hilbert_dim
+from .counting import CountReport, count
 from .cyclo import Cyclotomic
 from .errors import (
     BadParams,
@@ -66,6 +66,7 @@ from .matter import (
     one_dim_to_rep,
     rep_from_text,
     su2_fundamental_rep,
+    total_hilbert_dim,
     trivial_rep,
     zn_charge_rep,
 )

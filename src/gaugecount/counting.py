@@ -26,7 +26,9 @@ tuples: sites with equal character values share one power, and elimination
 joins only the nonzero entries of the tables it sums out.
 
 The result must come out a nonnegative integer; anything else raises
-NonIntegralResult with the failed witness attached.
+NonIntegralResult with the failed witness attached.  The site characters
+come from `matter.site_characters`; this module holds the contraction,
+`count` on top of it, the fermion parity split and the Z_N closed forms.
 """
 
 from __future__ import annotations
@@ -37,27 +39,16 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .cyclo import Cyclotomic
-from .errors import (
-    BadParams,
-    GroupMismatch,
-    NonIntegralResult,
-    OddSitesForStaggered,
-)
+from .errors import BadParams, GroupMismatch, NonIntegralResult
 from .groups import ConjugacyClassTable, FiniteGroup, conjugacy_classes, same_group
 from .lattice import LatticeGraph, TwistSpec, connected_components, dangling_boundary_extension
 from .matter import (
     ClassFunction,
     FermionMatter,
     MatterSpec,
-    OneDimRep,
-    PureGauge,
-    ScalarMatter,
-    ScalarMatterPerSite,
     constant_class_function,
-    det_character,
-    fermion_site_character,
-    fixed_point_character,
     one_dim_class_values,
+    site_characters,
     zn_charge_rep,
 )
 
@@ -307,65 +298,7 @@ def count_general(G: FiniteGroup,
 
 
 # ---------------------------------------------------------------------------
-# matter-specific entry points
-
-def _flavour_product(matter: FermionMatter, classes: ConjugacyClassTable,
-                     character) -> ClassFunction:
-    """prod_f character(rho_f)^spinor_count, class by class."""
-    total = constant_class_function(classes, 1)
-    for rep in matter.flavours:
-        vals = tuple(v ** matter.spinor_count for v in character(rep).values)
-        total = ClassFunction(classes.group,
-                              tuple(a * b for a, b in zip(total.values, vals)))
-    return total
-
-
-def fermion_site_characters(matter: FermionMatter, classes: ConjugacyClassTable,
-                            n_sites: int, sign: int = 1) -> list[ClassFunction]:
-    """Per-site Fock characters with the vacuum weight folded into each site.
-
-    A one-dimensional background vacuum multiplies every site; the staggered
-    vacuum fills every mode on odd-indexed sites only, so exactly those sites
-    pick up the factor prod_f det(rho_f(C^-1))^spinor_count.  Folding the
-    weight per site (rather than as one global factor) keeps the count right
-    even when some sites decouple from the class sum.
-    """
-    base = _flavour_product(matter, classes,
-                            lambda rep: fermion_site_character(rep, classes, sign=sign))
-
-    def dress(extra: ClassFunction) -> ClassFunction:
-        return ClassFunction(classes.group,
-                             tuple(a * b for a, b in zip(base.values, extra.values)))
-
-    if isinstance(matter.vacuum, OneDimRep):
-        return [dress(one_dim_class_values(matter.vacuum, classes))] * n_sites
-    if matter.vacuum == "staggered":
-        if n_sites % 2 != 0:
-            raise OddSitesForStaggered(
-                f"staggered vacuum needs an even site count, got {n_sites}")
-        filled = dress(_flavour_product(
-            matter, classes, lambda rep: det_character(rep, classes, inverse=True)))
-        return [filled if x % 2 else base for x in range(n_sites)]
-    return [base] * n_sites
-
-
-def site_characters(matter: MatterSpec, classes: ConjugacyClassTable,
-                    n_sites: int, sign: int = 1) -> list[ClassFunction]:
-    """The class function of each site's matter space; sign=-1 weights
-    fermion modes by parity."""
-    if isinstance(matter, PureGauge):
-        return [constant_class_function(classes, 1)] * n_sites
-    if isinstance(matter, ScalarMatter):
-        return [fixed_point_character(matter.action, classes)] * n_sites
-    if isinstance(matter, ScalarMatterPerSite):
-        if len(matter.actions) != n_sites:
-            raise BadParams(
-                f"{len(matter.actions)} actions for {n_sites} physical sites")
-        return [fixed_point_character(a, classes) for a in matter.actions]
-    if isinstance(matter, FermionMatter):
-        return fermion_site_characters(matter, classes, n_sites, sign=sign)
-    raise BadParams(f"unknown matter specification {matter!r}")
-
+# entry points
 
 @dataclass(frozen=True)
 class ParitySplit:
@@ -415,20 +348,6 @@ def count(G: FiniteGroup, L: LatticeGraph, matter: MatterSpec,
     chars += [constant_class_function(cls, 1)] * (L.site_count - n_phys)
     return count_general(G, cls, L, chars, twist=twist,
                          require_nonnegative=(parity_sign == 1))
-
-
-def total_hilbert_dim(G: FiniteGroup, L: LatticeGraph, matter: MatterSpec) -> int:
-    """Dimension of the full unconstrained space (links times site spaces)."""
-    dim = G.order ** L.edge_count
-    if isinstance(matter, ScalarMatter):
-        dim *= matter.action.set_size ** L.site_count
-    elif isinstance(matter, ScalarMatterPerSite):
-        for a in matter.actions:
-            dim *= a.set_size
-    elif isinstance(matter, FermionMatter):
-        modes = matter.spinor_count * sum(f.dim for f in matter.flavours)
-        dim *= (2 ** modes) ** L.site_count
-    return dim
 
 
 # ---------------------------------------------------------------------------

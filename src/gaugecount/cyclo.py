@@ -97,7 +97,7 @@ def _reduce_pairs(n: int, pairs: list[tuple[int, Rational]]) -> tuple[Fraction, 
             for i in range(d):
                 if row[i]:
                     out[i] += c * row[i]
-    return tuple(Fraction(v) for v in out)
+    return tuple(out)
 
 
 class Cyclotomic:

@@ -90,7 +90,3 @@ class NotFree(GaugeCountError):
 
 class DimTooLarge(GaugeCountError):
     """A representation dimension exceeds a hard implementation cap."""
-
-
-class BadCharge(GaugeCountError):
-    """Invalid charge assignment."""

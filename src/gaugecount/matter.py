@@ -1,14 +1,19 @@
-"""Matter content: group actions on finite sets and unitary representations.
+"""Matter content: group actions on finite sets, unitary representations,
+and the per-site characters of each matter kind.
 
 Character values are exact cyclotomic numbers.  Actions, one-dimensional
 reps and reps from generator images are checked exactly, over the group's
 generators, by `groups.law_break`.  Numeric representation matrices are
-admitted (validated to 1e-9), and every character extracted from them goes
-through eigenvalue snapping: eigenvalues of a finite-order unitary matrix
+admitted (validated to 1e-9).  Every character of a representation is one
+fold over one spectrum: the eigenvalues of a finite-order unitary matrix
 are roots of unity, so each one is snapped (tolerance 1e-6) to an exact
-root before any product or sum is formed.  numpy is imported only by the
-functions that build or read numeric matrices, so a process that counts
-without representations never loads it.
+root, and the trace, the determinant and the Fock trace det(1 + sign * rho)
+are sums or products of those roots.  `site_characters` turns each matter
+kind into one class function per site: 1 for pure gauge, fixed-point
+counts for scalars, and for fermions the Fock trace of every flavour,
+raised to the spinor count and dressed by the vacuum.  numpy is imported
+only by the functions that build or read numeric matrices, so a process
+that counts without representations never loads it.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 from .cyclo import Cyclotomic, snap_to_root_of_unity
 from .errors import (
@@ -24,6 +29,7 @@ from .errors import (
     ClassInconsistency,
     GroupMismatch,
     NotAHomomorphism,
+    OddSitesForStaggered,
     ParseError,
 )
 from .groups import (
@@ -43,6 +49,8 @@ from .textio import end_line, read_floats, read_ints, read_records
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .lattice import LatticeGraph
 
 NUMERIC_TOL = 1e-9
 SNAP_TOL = 1e-6
@@ -257,9 +265,6 @@ class UnitaryRep:
     exact: Optional[tuple[ExactMatrix, ...]]
     numeric: tuple  # tuple of numpy arrays, read-only by convention
 
-    def matrix(self, g: int) -> np.ndarray:
-        return self.numeric[g]
-
     def exact_matrix_of(self, g: int) -> ExactMatrix:
         if self.exact is None:
             raise BadParams("representation has no exact entries")
@@ -452,14 +457,6 @@ def zn_charge_rep(G: FiniteGroup, q: int) -> OneDimRep:
     return OneDimRep(G, tuple(Cyclotomic.root_of_unity(n, (q * k) % n) for k in range(n)))
 
 
-def det_rep(rep: UnitaryRep) -> OneDimRep:
-    """Determinant character, exact via snapped eigenvalue products."""
-    values = []
-    for g in range(rep.group.order):
-        values.append(_snapped_eigen_product(rep, g, lambda lam: lam))
-    return OneDimRep(rep.group, tuple(values))
-
-
 def one_dim_to_rep(chi: OneDimRep) -> UnitaryRep:
     return rep_from_exact(chi.group, [((v,),) for v in chi.values])
 
@@ -467,31 +464,45 @@ def one_dim_to_rep(chi: OneDimRep) -> UnitaryRep:
 # ---------------------------------------------------------------------------
 # characters from representations
 
-def _snapped_eigenvalues(rep: UnitaryRep, g: int) -> list[Cyclotomic]:
+def _spectrum(rep: UnitaryRep, g: int) -> list[Cyclotomic]:
+    """The eigenvalues of rho(g), each snapped to an exact root of unity."""
     import numpy as np
     k = rep.group.element_order(g)
     eig = np.linalg.eigvals(rep.numeric[g])
     return [snap_to_root_of_unity(complex(lam), k, SNAP_TOL) for lam in eig]
 
 
-def _snapped_eigen_product(rep: UnitaryRep, g: int, f: Callable) -> Cyclotomic:
+def _fold(rep: UnitaryRep, classes: Optional[ConjugacyClassTable], trace: bool = False,
+          sign: int = 0, inverse: bool = False) -> tuple[Cyclotomic, ...]:
+    """Fold the spectrum of rho at each class representative r (at every
+    element when classes is None), read at r^-1 when `inverse`: into the
+    trace when `trace`, else into the product of (1 + sign * lam), or of
+    lam itself when sign is 0."""
+    G = rep.group
+    if classes is not None and not same_group(G, classes.group):
+        raise GroupMismatch("representation and class table use different groups")
+    values = []
+    for r in (classes.reps if classes is not None else range(G.order)):
+        spectrum = _spectrum(rep, G.inv(r) if inverse else r)
+        if trace:
+            values.append(sum(spectrum, Cyclotomic.zero()))
+        else:
+            values.append(_product(1 + sign * lam for lam in spectrum) if sign
+                          else _product(spectrum))
+    return tuple(values)
+
+
+def _product(values: Iterable[Cyclotomic]) -> Cyclotomic:
+    """1 * v1 * v2 * ..., multiplied left to right."""
     total = Cyclotomic.one()
-    for lam in _snapped_eigenvalues(rep, g):
-        total = total * f(lam)
+    for v in values:
+        total = total * v
     return total
 
 
 def rep_character(rep: UnitaryRep, classes: ConjugacyClassTable) -> ClassFunction:
     """Per-class trace, exact (snapped eigenvalue sums)."""
-    if not same_group(rep.group, classes.group):
-        raise GroupMismatch("representation and class table use different groups")
-    values = []
-    for r in classes.reps:
-        acc = Cyclotomic.zero()
-        for lam in _snapped_eigenvalues(rep, r):
-            acc = acc + lam
-        values.append(acc)
-    return ClassFunction(rep.group, tuple(values))
+    return ClassFunction(rep.group, _fold(rep, classes, trace=True))
 
 
 def fermion_site_character(rep: UnitaryRep, classes: ConjugacyClassTable,
@@ -503,22 +514,18 @@ def fermion_site_character(rep: UnitaryRep, classes: ConjugacyClassTable,
     """
     if sign not in (1, -1):
         raise BadParams(f"sign must be +1 or -1, got {sign}")
-    if not same_group(rep.group, classes.group):
-        raise GroupMismatch("representation and class table use different groups")
-    values = []
-    for r in classes.reps:
-        values.append(_snapped_eigen_product(rep, r, lambda lam: 1 + sign * lam))
-    return ClassFunction(rep.group, tuple(values))
+    return ClassFunction(rep.group, _fold(rep, classes, sign=sign))
 
 
 def det_character(rep: UnitaryRep, classes: ConjugacyClassTable,
                   inverse: bool = False) -> ClassFunction:
     """Per-class determinant of rho (or of rho at the inverse class)."""
-    values = []
-    for r in classes.reps:
-        g = rep.group.inv(r) if inverse else r
-        values.append(_snapped_eigen_product(rep, g, lambda lam: lam))
-    return ClassFunction(rep.group, tuple(values))
+    return ClassFunction(rep.group, _fold(rep, classes, inverse=inverse))
+
+
+def det_rep(rep: UnitaryRep) -> OneDimRep:
+    """Determinant character, exact via snapped eigenvalue products."""
+    return OneDimRep(rep.group, _fold(rep, None))
 
 
 def one_dim_class_values(chi: OneDimRep, classes: ConjugacyClassTable) -> ClassFunction:
@@ -581,6 +588,71 @@ def spinor_components_for_dirac(d: int) -> int:
     if d < 1:
         raise BadParams(f"need at least one spatial dimension, got {d}")
     return 2 ** ((d + 1) // 2)
+
+
+# ---------------------------------------------------------------------------
+# per-site characters of each matter kind
+
+def fermion_site_characters(matter: FermionMatter, classes: ConjugacyClassTable,
+                            n_sites: int, sign: int = 1) -> list[ClassFunction]:
+    """Per-site Fock characters with the vacuum weight folded into each site.
+
+    Each site carries prod_f det(1 + sign * rho_f)^spinor_count.  A
+    one-dimensional background vacuum multiplies every site; the staggered
+    vacuum fills every mode on odd-indexed sites only, so exactly those sites
+    pick up the factor prod_f det(rho_f(C^-1))^spinor_count.  Folding the
+    weight per site (rather than as one global factor) keeps the count right
+    even when some sites decouple from the class sum.
+    """
+    G, s = classes.group, matter.spinor_count
+    fock = [fermion_site_character(rep, classes, sign=sign).values for rep in matter.flavours]
+    plain = ClassFunction(G, tuple(_product(v ** s for v in vs) for vs in zip(*fock)))
+    if matter.vacuum == "trivial":
+        return [plain] * n_sites
+    if matter.vacuum == "staggered":
+        if n_sites % 2 != 0:
+            raise OddSitesForStaggered(
+                f"staggered vacuum needs an even site count, got {n_sites}")
+        dets = [det_character(rep, classes, inverse=True).values for rep in matter.flavours]
+        weight = tuple(_product(v ** s for v in vs) for vs in zip(*dets))
+    else:
+        weight = one_dim_class_values(matter.vacuum, classes).values
+    dressed = ClassFunction(G, tuple(map(operator.mul, plain.values, weight)))
+    if matter.vacuum == "staggered":
+        return [dressed if x % 2 else plain for x in range(n_sites)]
+    return [dressed] * n_sites
+
+
+def site_characters(matter: MatterSpec, classes: ConjugacyClassTable,
+                    n_sites: int, sign: int = 1) -> list[ClassFunction]:
+    """The class function of each site's matter space; sign=-1 weights
+    fermion modes by parity."""
+    if isinstance(matter, PureGauge):
+        return [constant_class_function(classes, 1)] * n_sites
+    if isinstance(matter, ScalarMatter):
+        return [fixed_point_character(matter.action, classes)] * n_sites
+    if isinstance(matter, ScalarMatterPerSite):
+        if len(matter.actions) != n_sites:
+            raise BadParams(
+                f"{len(matter.actions)} actions for {n_sites} physical sites")
+        return [fixed_point_character(a, classes) for a in matter.actions]
+    if isinstance(matter, FermionMatter):
+        return fermion_site_characters(matter, classes, n_sites, sign=sign)
+    raise BadParams(f"unknown matter specification {matter!r}")
+
+
+def total_hilbert_dim(G: FiniteGroup, L: LatticeGraph, matter: MatterSpec) -> int:
+    """Dimension of the full unconstrained space (links times site spaces)."""
+    dim = G.order ** L.edge_count
+    if isinstance(matter, ScalarMatter):
+        dim *= matter.action.set_size ** L.site_count
+    elif isinstance(matter, ScalarMatterPerSite):
+        for a in matter.actions:
+            dim *= a.set_size
+    elif isinstance(matter, FermionMatter):
+        modes = matter.spinor_count * sum(f.dim for f in matter.flavours)
+        dim *= (2 ** modes) ** L.site_count
+    return dim
 
 
 # ---------------------------------------------------------------------------

@@ -180,12 +180,24 @@ def test_budget_below_one_exits_2(tmp_path, capsys, budget):
     assert json.loads(capsys.readouterr().out)["enumeration_complete"] is False
 
 
-def test_cli_import_does_not_load_numpy():
-    code = "import sys, gaugecount.cli; print('numpy' in sys.modules)"
+def test_cli_import_does_not_load_numpy(tmp_path):
+    # importing the CLI, then counting pure-gauge and coset-scalar jobs, in
+    # one process: numpy stays unloaded after each step
+    pure = write_config(tmp_path, {"group": {"family": "dihedral", "params": [4]},
+                                   "lattice": {"dims": [2, 2]}}, "pure.json")
+    scalar = write_config(tmp_path, {
+        "group": {"family": "symmetric", "params": [3]}, "lattice": {"dims": [2, 2]},
+        "matter": {"kind": "scalar", "action": "coset_first_subgroup"}}, "scalar.json")
+    code = ("import sys, gaugecount.cli as c\n"
+            "print('numpy' in sys.modules)\n"
+            f"for cfg in ({pure!r}, {scalar!r}):\n"
+            "    assert c.main(['count', '--config', cfg, '--no-timestamp']) == 0\n"
+            "    print('numpy' in sys.modules)\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env={**os.environ,
                                                      "PYTHONPATH": os.pathsep.join(sys.path)})
-    assert out.stdout.strip() == "False"
+    flags = [ln for ln in out.stdout.splitlines() if ln in ("True", "False")]
+    assert flags == ["False"] * 3
 
 
 def test_twist_config_variants(tmp_path, capsys):

@@ -23,6 +23,7 @@ from gaugecount import (
     action_product,
     action_to_text,
     action_trivial,
+    binary_tetrahedral_group,
     conjugacy_classes,
     constant_class_function,
     count,
@@ -368,6 +369,15 @@ def test_det_character_inverse_flag():
         assert inv.values[c] == plain.values[cls.inverse_class[c]]
 
 
+def test_det_character_rejects_class_table_of_another_group():
+    # D4 and Q8 both have order 8 and five classes
+    rep = dihedral_rotation_rep(dihedral_group(4), 4)
+    with pytest.raises(GroupMismatch):
+        det_character(rep, conjugacy_classes(quaternion_group()))
+    with pytest.raises(GroupMismatch):
+        det_character(rep, conjugacy_classes(quaternion_group()), inverse=True)
+
+
 def test_constant_class_function():
     cls = conjugacy_classes(symmetric_group(3))
     f = constant_class_function(cls, Fraction(1, 2))
@@ -436,3 +446,25 @@ def test_rep_text_roundtrip():
         rep_from_text("rep 8\n", G)
     with pytest.raises(ParseError):
         rep_from_text("rep 4 2\n", G)  # wrong group order
+
+
+def _numeric_reps():
+    T = binary_tetrahedral_group()
+    D3 = dihedral_group(3)
+    perm = permutation_rep(action_coset(D3, subgroup_from_elements(D3, [D3.identity, 3])))
+    assert perm.dim == 3
+    return [su2_fundamental_rep(T), perm]
+
+
+@pytest.mark.parametrize("rep", _numeric_reps(), ids=["2T_su2", "D3_perm3"])
+def test_numeric_only_rep_gives_the_exact_rep_characters(rep):
+    back = rep_from_text(rep_to_text(rep), rep.group)
+    assert rep.is_exact and not back.is_exact
+    cls = conjugacy_classes(rep.group)
+    for sign in (1, -1):
+        assert (fermion_site_character(back, cls, sign=sign).values
+                == fermion_site_character(rep, cls, sign=sign).values)
+    for inverse in (False, True):
+        assert (det_character(back, cls, inverse=inverse).values
+                == det_character(rep, cls, inverse=inverse).values)
+    assert det_rep(back).values == det_rep(rep).values
