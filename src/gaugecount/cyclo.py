@@ -15,8 +15,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .errors import SnapFailure
-
 Rational = int | Fraction
 
 
@@ -307,17 +305,3 @@ class Cyclotomic:
 _ZERO = Cyclotomic(1, (Fraction(0),), _canonical=True)
 _ONE = Cyclotomic(1, (Fraction(1),), _canonical=True)
 
-
-def snap_to_root_of_unity(z: complex, k: int, tol: float = 1e-6) -> Cyclotomic:
-    """Snap a unit complex number to the nearest k-th root of unity, exactly.
-
-    Raises SnapFailure when no k-th root of unity lies within tol.
-    """
-    if k < 1:
-        raise ValueError(f"bad root order {k}")
-    angle = cmath.phase(z)
-    j = round(angle * k / (2 * cmath.pi)) % k
-    target = cmath.exp(2j * cmath.pi * j / k)
-    if abs(z - target) > tol:
-        raise SnapFailure(f"value {z} is not within {tol} of any {k}-th root of unity")
-    return Cyclotomic.root_of_unity(k, j)

@@ -36,7 +36,8 @@ class ClassInconsistency(GaugeCountError):
 
 
 class SnapFailure(GaugeCountError):
-    """A numeric eigenvalue is not close enough to any admissible root of unity."""
+    """Eigenvalue multiplicities read off a rep's numeric traces are not close
+    enough to non-negative integers that sum to the dimension."""
 
 
 class NotAHomomorphism(GaugeCountError):

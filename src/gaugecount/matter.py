@@ -3,27 +3,33 @@ and the per-site characters of each matter kind.
 
 Character values are exact cyclotomic numbers.  Actions, one-dimensional
 reps and reps from generator images are checked exactly, over the group's
-generators, by `groups.law_break`.  Numeric representation matrices are
-admitted (validated to 1e-9).  Every character of a representation is one
-fold over one spectrum: the eigenvalues of a finite-order unitary matrix
-are roots of unity, so each one is snapped (tolerance 1e-6) to an exact
-root, and the trace, the determinant and the Fock trace det(1 + sign * rho)
-are sums or products of those roots.  `site_characters` turns each matter
-kind into one class function per site: 1 for pure gauge, fixed-point
-counts for scalars, and for fermions the Fock trace of every flavour,
-raised to the spinor count and dressed by the vacuum.  numpy is imported
-only by the functions that build or read numeric matrices, so a process
-that counts without representations never loads it.
+generators, by `groups.law_break`.  Every representation also carries its
+matrices as tuples of complex numbers, validated to 1e-9 in plain complex
+arithmetic.  Every character of a representation is one fold over one
+spectrum.  The eigenvalues of rho(g) are k-th roots of unity for k the
+order of g, and their multiplicities are the inner products of the
+character restricted to <g> with the characters of that cyclic group, so
+they follow from the traces of the powers of rho(g) by one discrete
+Fourier transform per maximal cyclic subgroup; each multiplicity is
+snapped (tolerance 1e-6) to an integer.  The trace, the determinant and
+the Fock trace det(1 + sign * rho) are sums or products of the exact roots.
+`site_characters` turns each matter kind into one class function per
+site: 1 for pure gauge, fixed-point counts for scalars, and for fermions
+the Fock trace of every flavour, raised to the spinor count and dressed by
+the vacuum.
 """
 
 from __future__ import annotations
 
+import cmath
+import functools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
-from .cyclo import Cyclotomic, snap_to_root_of_unity
+from .cyclo import Cyclotomic
 from .errors import (
     BadParams,
     ClassInconsistency,
@@ -31,6 +37,7 @@ from .errors import (
     NotAHomomorphism,
     OddSitesForStaggered,
     ParseError,
+    SnapFailure,
 )
 from .groups import (
     ConjugacyClassTable,
@@ -48,8 +55,6 @@ from .groups import (
 from .textio import end_line, read_floats, read_ints, read_records
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .lattice import LatticeGraph
 
 NUMERIC_TOL = 1e-9
@@ -189,9 +194,10 @@ def fixed_point_character(A: GroupAction, classes: ConjugacyClassTable) -> Class
 
 
 # ---------------------------------------------------------------------------
-# exact matrix helpers
+# matrix helpers
 
 ExactMatrix = tuple[tuple[Cyclotomic, ...], ...]
+ComplexMatrix = tuple[tuple[complex, ...], ...]
 
 
 def _as_cyclo(v) -> Cyclotomic:
@@ -243,9 +249,29 @@ def mat_det_exact(m: ExactMatrix) -> Cyclotomic:
     return total
 
 
-def mat_to_numpy(m: ExactMatrix) -> np.ndarray:
-    import numpy as np
-    return np.array([[v.to_complex() for v in row] for row in m], dtype=complex)
+def mat_to_complex(m: ExactMatrix) -> ComplexMatrix:
+    return tuple(tuple(v.to_complex() for v in row) for row in m)
+
+
+def _mat_mul_complex(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
+    """a @ b, skipping zero entries of a: a permutation matrix costs d^2."""
+    out = []
+    for row in a:
+        acc = [0j] * len(b[0])
+        for x, brow in zip(row, b):
+            if x:
+                acc = [s + x * y for s, y in zip(acc, brow)]
+        out.append(tuple(acc))
+    return tuple(out)
+
+
+def _adjoint(m: ComplexMatrix) -> ComplexMatrix:
+    return tuple(tuple(v.conjugate() for v in col) for col in zip(*m))
+
+
+def _close(a: ComplexMatrix, b: ComplexMatrix) -> bool:
+    """Entrywise within NUMERIC_TOL; false when an entry is NaN."""
+    return all(abs(x - y) <= NUMERIC_TOL for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
 # ---------------------------------------------------------------------------
@@ -255,15 +281,16 @@ def mat_to_numpy(m: ExactMatrix) -> np.ndarray:
 class UnitaryRep:
     """A unitary matrix representation, one matrix per group element.
 
-    `exact` carries cyclotomic entries when available; `numeric` is always
-    derivable.  Characters computed from numeric-only reps go through
-    eigenvalue snapping and stay exact.
+    `exact` carries cyclotomic entries when available; `numeric` always
+    holds every matrix as a tuple of row tuples of complex numbers (for
+    exact reps, the entries' `to_complex`).  Characters of both kinds come
+    from `spectra`, exact roots of unity read off the numeric traces.
     """
 
     group: FiniteGroup
     dim: int
     exact: Optional[tuple[ExactMatrix, ...]]
-    numeric: tuple  # tuple of numpy arrays, read-only by convention
+    numeric: tuple[ComplexMatrix, ...]
 
     def exact_matrix_of(self, g: int) -> ExactMatrix:
         if self.exact is None:
@@ -274,6 +301,12 @@ class UnitaryRep:
     def is_exact(self) -> bool:
         return self.exact is not None
 
+    @functools.cached_property
+    def spectra(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """Per element g, (k, exponents): the eigenvalues of rho(g) are
+        zeta_k^e for e in exponents, in ascending order of e."""
+        return _cyclic_spectra(self)
+
 
 def rep_from_exact(G: FiniteGroup, matrices: Sequence[Sequence[Sequence]]) -> UnitaryRep:
     if len(matrices) != G.order:
@@ -282,19 +315,20 @@ def rep_from_exact(G: FiniteGroup, matrices: Sequence[Sequence[Sequence]]) -> Un
     dim = len(mats[0])
     if any(len(m) != dim or any(len(r) != dim for r in m) for m in mats):
         raise BadParams("matrices are not all square of equal dimension")
-    numeric = tuple(mat_to_numpy(m) for m in mats)
-    rep = UnitaryRep(G, dim, mats, numeric)
+    rep = UnitaryRep(G, dim, mats, tuple(mat_to_complex(m) for m in mats))
     _validate_rep_numeric(rep)
     return rep
 
 
-def rep_from_numeric(G: FiniteGroup, matrices: Sequence[np.ndarray]) -> UnitaryRep:
-    import numpy as np
+def rep_from_numeric(G: FiniteGroup,
+                     matrices: Sequence[Sequence[Sequence[complex]]]) -> UnitaryRep:
+    """A rep from complex matrices, each a sequence of rows of anything
+    `complex()` accepts (array types included)."""
     if len(matrices) != G.order:
         raise BadParams(f"{len(matrices)} matrices for group of order {G.order}")
-    numeric = tuple(np.asarray(m, dtype=complex) for m in matrices)
-    dim = numeric[0].shape[0]
-    if any(m.shape != (dim, dim) for m in numeric):
+    numeric = tuple(tuple(tuple(complex(v) for v in row) for row in m) for m in matrices)
+    dim = len(numeric[0])
+    if any(len(m) != dim or any(len(r) != dim for r in m) for m in numeric):
         raise BadParams("matrices are not all square of equal dimension")
     rep = UnitaryRep(G, dim, None, numeric)
     _validate_rep_numeric(rep)
@@ -302,19 +336,18 @@ def rep_from_numeric(G: FiniteGroup, matrices: Sequence[np.ndarray]) -> UnitaryR
 
 
 def _validate_rep_numeric(rep: UnitaryRep) -> None:
-    import numpy as np
     G, d = rep.group, rep.dim
-    eye = np.eye(d)
-    if np.max(np.abs(rep.numeric[G.identity] - eye)) > NUMERIC_TOL:
+    eye = tuple(tuple(1 + 0j if i == j else 0j for j in range(d)) for i in range(d))
+    if not _close(rep.numeric[G.identity], eye):
         raise NotAHomomorphism("identity element is not mapped to the identity matrix")
     for g in range(G.order):
         U = rep.numeric[g]
-        if np.max(np.abs(U @ U.conj().T - eye)) > NUMERIC_TOL:
+        if not _close(_mat_mul_complex(U, _adjoint(U)), eye):
             raise NotAHomomorphism(f"matrix for element {g} is not unitary")
     for g in G.generators:
         Ug = rep.numeric[g]
         for a in range(G.order):
-            if np.max(np.abs(rep.numeric[a] @ Ug - rep.numeric[G.mul(a, g)])) > NUMERIC_TOL:
+            if not _close(_mat_mul_complex(rep.numeric[a], Ug), rep.numeric[G.mul(a, g)]):
                 raise NotAHomomorphism(f"multiplicativity fails at ({a}, {g})")
 
 
@@ -395,23 +428,11 @@ def su2_fundamental_rep(G: FiniteGroup) -> UnitaryRep:
 def rep_direct_sum(a: UnitaryRep, b: UnitaryRep) -> UnitaryRep:
     if not same_group(a.group, b.group):
         raise GroupMismatch("representations live over different groups")
-    zero = Cyclotomic.zero()
-    if a.is_exact and b.is_exact:
-        mats = []
-        for g in range(a.group.order):
-            ma, mb = a.exact[g], b.exact[g]
-            top = [row + (zero,) * b.dim for row in ma]
-            bot = [(zero,) * a.dim + row for row in mb]
-            mats.append(tuple(top + bot))
-        return rep_from_exact(a.group, mats)
-    import numpy as np
-    mats_np = []
-    for g in range(a.group.order):
-        m = np.zeros((a.dim + b.dim, a.dim + b.dim), dtype=complex)
-        m[: a.dim, : a.dim] = a.numeric[g]
-        m[a.dim:, a.dim:] = b.numeric[g]
-        mats_np.append(m)
-    return rep_from_numeric(a.group, mats_np)
+    exact = a.is_exact and b.is_exact
+    zero = Cyclotomic.zero() if exact else 0j
+    mats = [[row + (zero,) * b.dim for row in ma] + [(zero,) * a.dim + row for row in mb]
+            for ma, mb in (zip(a.exact, b.exact) if exact else zip(a.numeric, b.numeric))]
+    return (rep_from_exact if exact else rep_from_numeric)(a.group, mats)
 
 
 def rep_restrict(rep: UnitaryRep, H: SubgroupHandle) -> tuple[UnitaryRep, FiniteGroup]:
@@ -464,12 +485,72 @@ def one_dim_to_rep(chi: OneDimRep) -> UnitaryRep:
 # ---------------------------------------------------------------------------
 # characters from representations
 
+def _dft(values: Sequence[complex]) -> list[complex]:
+    """[sum_t values[t] zeta_k^(-jt) for j < k], k = len(values), by mixed-radix
+    Cooley-Tukey on k's smallest prime factor r: O(k * (sum of k's prime
+    factors)) complex operations."""
+    k = len(values)
+    w = [cmath.exp(-2j * cmath.pi * m / k) for m in range(k)]
+    r = next((q for q in range(2, math.isqrt(k) + 1) if k % q == 0), k)
+    if r == k:  # k is 1 or prime
+        return [sum(v * w[j * t % k] for t, v in enumerate(values)) for j in range(k)]
+    parts = [_dft(values[s::r]) for s in range(r)]
+    n = k // r
+    return [sum(parts[s][j % n] * w[j * s % k] for s in range(r)) for j in range(k)]
+
+
+def _root_multiplicities(traces: Sequence[complex], d: int) -> list[int]:
+    """The exponents j, each repeated m_j times, of the eigenvalues zeta_k^j
+    of a d-dim matrix M of order dividing k = len(traces), from
+    traces[t] = tr M^t: m_j = (1/k) sum_t traces[t] zeta_k^(-jt) is the
+    multiplicity of zeta_k^j.  Each m_j must lie within SNAP_TOL of a
+    non-negative integer and the m_j must sum to d."""
+    k = len(traces)
+    exponents = []
+    for j, total in enumerate(_dft(traces)):
+        m = total / k
+        n = round(m.real) if cmath.isfinite(m) else -1
+        if n < 0 or abs(m - n) > SNAP_TOL:
+            raise SnapFailure(f"multiplicity {m} of the eigenvalue zeta_{k}^{j} "
+                              f"is not within {SNAP_TOL} of a non-negative integer")
+        exponents += [j] * n
+    if len(exponents) != d:
+        raise SnapFailure(f"eigenvalue multiplicities sum to {len(exponents)}, "
+                          f"not to the dimension {d}")
+    return exponents
+
+
+def _cyclic_spectra(rep: UnitaryRep) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Every element's spectrum, one transform per maximal cyclic subgroup.
+
+    Elements are walked by descending order; each one c not yet covered
+    has its eigenvalue multiplicities read off the traces of its powers
+    (the restriction of the character to <c>, decomposed into the
+    characters of that cyclic group), and every power c^a takes the
+    exponents a * j.
+    """
+    G = rep.group
+    orders = [G.element_order(g) for g in range(G.order)]
+    spectra: list = [None] * G.order
+    for c in sorted(range(G.order), key=orders.__getitem__, reverse=True):
+        if spectra[c] is not None:
+            continue
+        k = orders[c]
+        powers = [G.identity]
+        for _ in range(k - 1):
+            powers.append(G.mul(powers[-1], c))
+        traces = [sum(rep.numeric[x][i][i] for i in range(rep.dim)) for x in powers]
+        exponents = _root_multiplicities(traces, rep.dim)
+        for a, x in enumerate(powers):
+            if spectra[x] is None:
+                spectra[x] = (k, tuple(sorted(a * j % k for j in exponents)))
+    return tuple(spectra)
+
+
 def _spectrum(rep: UnitaryRep, g: int) -> list[Cyclotomic]:
-    """The eigenvalues of rho(g), each snapped to an exact root of unity."""
-    import numpy as np
-    k = rep.group.element_order(g)
-    eig = np.linalg.eigvals(rep.numeric[g])
-    return [snap_to_root_of_unity(complex(lam), k, SNAP_TOL) for lam in eig]
+    """The eigenvalues of rho(g) as exact roots of unity, by ascending angle."""
+    k, exponents = rep.spectra[g]
+    return [Cyclotomic.root_of_unity(k, e) for e in exponents]
 
 
 def _fold(rep: UnitaryRep, classes: Optional[ConjugacyClassTable], trace: bool = False,
@@ -501,7 +582,7 @@ def _product(values: Iterable[Cyclotomic]) -> Cyclotomic:
 
 
 def rep_character(rep: UnitaryRep, classes: ConjugacyClassTable) -> ClassFunction:
-    """Per-class trace, exact (snapped eigenvalue sums)."""
+    """Per-class trace, exact (sums of the exact spectrum)."""
     return ClassFunction(rep.group, _fold(rep, classes, trace=True))
 
 
@@ -524,7 +605,7 @@ def det_character(rep: UnitaryRep, classes: ConjugacyClassTable,
 
 
 def det_rep(rep: UnitaryRep) -> OneDimRep:
-    """Determinant character, exact via snapped eigenvalue products."""
+    """Determinant character, exact (products of the exact spectrum)."""
     return OneDimRep(rep.group, _fold(rep, None))
 
 
@@ -689,17 +770,12 @@ def action_from_text(text: str, G: FiniteGroup) -> GroupAction:
 def rep_to_text(rep: UnitaryRep) -> str:
     lines = [f"rep {rep.group.order} {rep.dim}"]
     for g in range(rep.group.order):
-        m = rep.numeric[g]
-        for i in range(rep.dim):
-            parts = []
-            for j in range(rep.dim):
-                parts.append(f"{m[i, j].real:.17g} {m[i, j].imag:.17g}")
-            lines.append(" ".join(parts))
+        for row in rep.numeric[g]:
+            lines.append(" ".join(f"{v.real:.17g} {v.imag:.17g}" for v in row))
     return "\n".join(lines) + "\n"
 
 
 def rep_from_text(text: str, G: FiniteGroup) -> UnitaryRep:
-    import numpy as np
     head, (order, dim), records = read_records(text, "rep", 2)
     if order != G.order:
         raise ParseError(f"file is for group order {order}, expected {G.order}", head)
@@ -713,5 +789,4 @@ def rep_from_text(text: str, G: FiniteGroup) -> UnitaryRep:
         if len(vals) != 2 * dim:
             raise ParseError(f"expected {2 * dim} numbers", line)
         rows.append([complex(vals[2 * j], vals[2 * j + 1]) for j in range(dim)])
-    mats = [np.array(rows[g * dim:(g + 1) * dim], dtype=complex) for g in range(order)]
-    return rep_from_numeric(G, mats)
+    return rep_from_numeric(G, [rows[g * dim:(g + 1) * dim] for g in range(order)])

@@ -181,23 +181,41 @@ def test_budget_below_one_exits_2(tmp_path, capsys, budget):
 
 
 def test_cli_import_does_not_load_numpy(tmp_path):
-    # importing the CLI, then counting pure-gauge and coset-scalar jobs, in
-    # one process: numpy stays unloaded after each step
-    pure = write_config(tmp_path, {"group": {"family": "dihedral", "params": [4]},
-                                   "lattice": {"dims": [2, 2]}}, "pure.json")
-    scalar = write_config(tmp_path, {
-        "group": {"family": "symmetric", "params": [3]}, "lattice": {"dims": [2, 2]},
-        "matter": {"kind": "scalar", "action": "coset_first_subgroup"}}, "scalar.json")
+    # importing the CLI, then running pure-gauge, scalar and fermion jobs
+    # (built-in and file flavours, count and verify), in one process: numpy
+    # stays unloaded after each step
+    def fermion(family, params, flavour, name, dims=(2, 2)):
+        return write_config(tmp_path, {
+            "group": {"family": family, "params": params}, "lattice": {"dims": dims},
+            "matter": {"kind": "fermion", "flavours": [flavour], "vacuum": "staggered"}},
+            name)
+
+    rep_file = tmp_path / "rot.rep"
+    rep_file.write_text(rep_to_text(dihedral_rotation_rep(dihedral_group(3), 3)))
+    count = ["count", "--no-timestamp", "--config"]
+    jobs = [
+        count + [write_config(tmp_path, {"group": {"family": "dihedral", "params": [4]},
+                                         "lattice": {"dims": [2, 2]}}, "pure.json")],
+        count + [write_config(tmp_path, {
+            "group": {"family": "symmetric", "params": [3]}, "lattice": {"dims": [2, 2]},
+            "matter": {"kind": "scalar", "action": "coset_first_subgroup"}}, "scalar.json")],
+        count + [fermion("binary_tetrahedral", [], {"builtin": "su2_fundamental"}, "su2.json")],
+        count + [fermion("dihedral", [4], {"builtin": "dihedral_rotation"}, "rot.json")],
+        count + [fermion("cyclic", [4], {"builtin": "zn_charge", "charge": 1}, "zn.json")],
+        ["verify", "--config",
+         fermion("quaternion", [], {"builtin": "su2_fundamental"}, "verify.json", dims=[2])],
+        count + [fermion("dihedral", [3], {"file": str(rep_file)}, "file.json")],
+    ]
     code = ("import sys, gaugecount.cli as c\n"
             "print('numpy' in sys.modules)\n"
-            f"for cfg in ({pure!r}, {scalar!r}):\n"
-            "    assert c.main(['count', '--config', cfg, '--no-timestamp']) == 0\n"
+            f"for argv in {jobs!r}:\n"
+            "    assert c.main(argv) == 0, argv\n"
             "    print('numpy' in sys.modules)\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env={**os.environ,
                                                      "PYTHONPATH": os.pathsep.join(sys.path)})
     flags = [ln for ln in out.stdout.splitlines() if ln in ("True", "False")]
-    assert flags == ["False"] * 3
+    assert flags == ["False"] * (1 + len(jobs))
 
 
 def test_twist_config_variants(tmp_path, capsys):
@@ -481,6 +499,22 @@ def test_malformed_lattice_file_reports_line(tmp_path, capsys):
     assert main(["count", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert "ParseError" in err and "line 3" in err
+
+
+@pytest.mark.parametrize("rows", ["nan 0\n1 0\n", "1 0\nnan 0\n", "1 0\ninf 0\n"],
+                         ids=["nan_identity", "nan_generator", "inf_generator"])
+def test_rep_file_with_non_finite_entries_exits_2(tmp_path, capsys, rows):
+    rep_file = tmp_path / "bad.rep"
+    rep_file.write_text("rep 2 1\n" + rows)
+    cfg = write_config(tmp_path, {
+        "group": {"family": "cyclic", "params": [2]},
+        "lattice": {"dims": [2]},
+        "matter": {"kind": "fermion", "flavours": [{"file": str(rep_file)}]},
+    })
+    assert main(["count", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: NotAHomomorphism")
 
 
 def test_disconnected_bulk_formula_matches_oracle(tmp_path, capsys):

@@ -1,12 +1,10 @@
-"""Exact cyclotomic arithmetic: construction, reduction, snapping."""
+"""Exact cyclotomic arithmetic: construction and reduction."""
 
 import cmath
 import math
 from fractions import Fraction
 
-import pytest
-
-from gaugecount import Cyclotomic, SnapFailure, cyclotomic_poly, euler_phi, snap_to_root_of_unity
+from gaugecount import Cyclotomic, cyclotomic_poly, euler_phi
 
 
 def test_rational_constructors():
@@ -79,20 +77,6 @@ def test_coeff_pairs_rational():
     pairs = z.coeff_pairs()
     assert pairs[0] == [3, 2]
     assert all(p == [0, 1] for p in pairs[1:])
-
-
-def test_snap_exact_and_perturbed():
-    for k in range(6):
-        target = cmath.exp(2j * cmath.pi * k / 6)
-        snapped = snap_to_root_of_unity(target + 1e-9 + 1e-9j, 6)
-        assert snapped == Cyclotomic.root_of_unity(6, k)
-
-
-def test_snap_failure():
-    with pytest.raises(SnapFailure):
-        snap_to_root_of_unity(0.5 + 0.5j, 4)
-    with pytest.raises(SnapFailure):
-        snap_to_root_of_unity(cmath.exp(2j * cmath.pi / 3), 2)
 
 
 def test_cyclotomic_poly_small_orders():

@@ -1,5 +1,6 @@
 """Scalar actions, unitary representations, exact characters, matter specs."""
 
+import cmath
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,8 @@ from gaugecount import (
     OneDimRep,
     ParseError,
     PureGauge,
+    SnapFailure,
+    UnitaryRep,
     action_coset,
     action_from_text,
     action_left_mult,
@@ -23,6 +26,8 @@ from gaugecount import (
     action_product,
     action_to_text,
     action_trivial,
+    binary_icosahedral_group,
+    binary_octahedral_group,
     binary_tetrahedral_group,
     conjugacy_classes,
     constant_class_function,
@@ -51,6 +56,7 @@ from gaugecount import (
     rep_direct_sum,
     rep_from_exact,
     rep_from_generator_images,
+    rep_from_numeric,
     rep_from_text,
     rep_restrict,
     rep_to_text,
@@ -178,14 +184,13 @@ def test_exact_matrix_helpers():
 # representations
 
 def test_dihedral_rotation_rep_is_exact_and_faithful():
-    import numpy as np
-
     G = dihedral_group(4)
     rep = dihedral_rotation_rep(G, 4)
     assert rep.dim == 2 and rep.is_exact
     for a in range(G.order):
         for b in range(a + 1, G.order):
-            assert np.max(np.abs(rep.numeric[a] - rep.numeric[b])) > 1e-9
+            assert max(abs(x - y) for ra, rb in zip(rep.numeric[a], rep.numeric[b])
+                       for x, y in zip(ra, rb)) > 1e-9
     with pytest.raises(BadParams):
         dihedral_rotation_rep(G, 3)
 
@@ -342,6 +347,134 @@ def test_one_dim_class_values_detects_inconsistency():
     vals[cls4.members(c)[-1]] = Cyclotomic.rational(-1)
     with pytest.raises(ClassInconsistency):
         one_dim_class_values(OneDimRep(S4, tuple(vals)), cls4)
+
+
+# ---------------------------------------------------------------------------
+# spectra
+
+def _spectrum_reps():
+    """Every built-in rep over the built-in groups, direct sums, permutation reps."""
+    reps = [su2_fundamental_rep(G) for G in (quaternion_group(), binary_tetrahedral_group(),
+                                             binary_octahedral_group(),
+                                             binary_icosahedral_group())]
+    reps += [dihedral_rotation_rep(dihedral_group(n), n) for n in (3, 4, 5, 6)]
+    reps += [one_dim_to_rep(zn_charge_rep(cyclic_group(n), q))
+             for n in (2, 5, 6, 9, 12) for q in (1, n - 1)]
+    reps.append(trivial_rep(cyclic_group(4), 3))
+    D4, T = dihedral_group(4), binary_tetrahedral_group()
+    rot, su2 = dihedral_rotation_rep(D4, 4), su2_fundamental_rep(T)
+    reps += [rep_direct_sum(rot, one_dim_to_rep(det_rep(rot))),
+             rep_direct_sum(su2, trivial_rep(T)), rep_direct_sum(su2, su2)]
+    S3, S4 = symmetric_group(3), symmetric_group(4)
+    reps += [permutation_rep(action_left_mult(S3)),
+             permutation_rep(action_coset(S4, first_proper_subgroup(S4)))]
+    return reps
+
+
+def test_spectra_have_the_exact_power_traces():
+    # the power sums p_t for t = 1..d fix the eigenvalue multiset (Newton's identities)
+    for rep in _spectrum_reps():
+        G, d = rep.group, rep.dim
+        for g in range(G.order):
+            k, exponents = rep.spectra[g]
+            assert len(exponents) == d
+            gt = G.identity
+            for t in range(1, d + 1):
+                gt = G.mul(gt, g)
+                m = rep.exact_matrix_of(gt)
+                trace = sum((m[i][i] for i in range(d)), Cyclotomic.zero())
+                power_sum = sum((Cyclotomic.root_of_unity(k, e * t) for e in exponents),
+                                Cyclotomic.zero())
+                assert power_sum == trace, (G.name, g, t)
+
+
+@pytest.mark.parametrize("n, q", [(97, 5), (256, 3), (360, 7)])
+def test_spectra_of_long_cyclic_groups(n, q):
+    # prime, power-of-two and mixed-radix transforms of one long cyclic group
+    rep = one_dim_to_rep(zn_charge_rep(cyclic_group(n), q))
+    for g in range(n):
+        k, (e,) = rep.spectra[g]
+        assert Cyclotomic.root_of_unity(k, e) == rep.exact[g][0][0]
+
+
+def test_spectra_snap_a_perturbed_rep():
+    T = binary_tetrahedral_group()
+    rep = su2_fundamental_rep(T)
+    noisy = rep_from_numeric(T, [[[v + 1e-11j for v in row] for row in m] for m in rep.numeric])
+    assert noisy.spectra == rep.spectra
+    cls = conjugacy_classes(T)
+    assert rep_character(noisy, cls).values == rep_character(rep, cls).values
+
+
+class _Scalar:
+    """A number known only through __complex__, as array scalars are."""
+
+    def __init__(self, z):
+        self.z = z
+
+    def __complex__(self):
+        return self.z
+
+
+def test_rep_from_numeric_takes_any_nested_sequence_of_numbers():
+    T = binary_tetrahedral_group()
+    rep = su2_fundamental_rep(T)
+    back = rep_from_numeric(T, [[list(map(_Scalar, row)) for row in m] for m in rep.numeric])
+    assert back.numeric == rep.numeric
+    assert all(type(v) is complex for m in back.numeric for row in m for v in row)
+    Z2 = cyclic_group(2)
+    mixed = rep_from_numeric(Z2, ([(1,)], ((Fraction(-1), ),)))
+    assert mixed.numeric == (((1 + 0j,),), ((-1 + 0j,),))
+
+
+def _unchecked_rep(G, matrices):
+    """A UnitaryRep built directly, without validation."""
+    numeric = tuple(tuple(tuple(complex(v) for v in row) for row in m) for m in matrices)
+    return UnitaryRep(G, len(numeric[0]), None, numeric)
+
+
+def test_snap_failure_for_a_matrix_of_no_finite_order():
+    Z2 = cyclic_group(2)
+    rep = _unchecked_rep(Z2, [[[1]], [[cmath.exp(1j)]]])
+    with pytest.raises(SnapFailure):
+        rep_character(rep, conjugacy_classes(Z2))
+
+
+def test_snap_failure_for_bad_multiplicities():
+    Z2 = cyclic_group(2)
+    cls = conjugacy_classes(Z2)
+    eye = [[1, 0], [0, 1]]
+    # diag(1, i) has order 4, not 2: the multiplicity of 1 is (3 + i) / 2
+    with pytest.raises(SnapFailure, match="non-negative integer"):
+        fermion_site_character(_unchecked_rep(Z2, [eye, [[1, 0], [0, 1j]]]), cls)
+    # traces 2, 0 give multiplicities 1, 1, which sum to 2 in dimension 1
+    with pytest.raises(SnapFailure, match="sum to 2"):
+        det_character(_unchecked_rep(Z2, [[[2]], [[0]]]), cls)
+    # a NaN trace is no multiplicity at all
+    with pytest.raises(SnapFailure):
+        det_rep(_unchecked_rep(Z2, [[[1]], [[float("nan")]]]))
+
+
+def test_rep_from_numeric_checks_every_product_with_a_generator():
+    Z3 = cyclic_group(3)
+    # unitary, identity-preserving, and rho(1)^2 == rho(2), but rho(2) rho(1) != rho(0)
+    with pytest.raises(NotAHomomorphism, match=r"multiplicativity fails at \(2, 1\)"):
+        rep_from_numeric(Z3, [[[1]], [[-1]], [[1]]])
+    S3 = symmetric_group(3)
+    perm = permutation_rep(action_left_mult(S3))
+    swapped = list(perm.numeric)
+    swapped[1], swapped[2] = swapped[2], swapped[1]
+    with pytest.raises(NotAHomomorphism):
+        rep_from_numeric(S3, swapped)
+
+
+def test_rep_from_numeric_rejects_non_finite_entries():
+    Z2 = cyclic_group(2)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(NotAHomomorphism):
+            rep_from_numeric(Z2, [[[1]], [[bad]]])
+        with pytest.raises(NotAHomomorphism):
+            rep_from_numeric(Z2, [[[bad]], [[1]]])
 
 
 # ---------------------------------------------------------------------------
