@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from math import lcm
-from operator import itemgetter
+from operator import getitem, itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import quaternions as qt
@@ -458,11 +458,28 @@ def builtin_group(family: str, params: Sequence[int] = ()) -> FiniteGroup:
 
 
 # ---------------------------------------------------------------------------
-# conjugacy classes
+# orbit partitions: conjugacy classes and cosets
+
+def orbit_partition(n: int, scan: Iterable[int], orbit: Callable[[int], Iterable[int]]
+                    ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The orbits of 0..n-1, each sorted, in the order of their first scanned
+    point, and the orbit index of every point (Holt, Eick & O'Brien, Handbook
+    of Computational Group Theory, section 4.1)."""
+    index = [-1] * n
+    blocks: list[tuple[int, ...]] = []
+    for x in scan:
+        if index[x] < 0:
+            block = tuple(sorted(set(orbit(x))))
+            for y in block:
+                index[y] = len(blocks)
+            blocks.append(block)
+    return tuple(blocks), tuple(index)
+
 
 @dataclass(frozen=True)
 class ConjugacyClassTable:
-    """Conjugacy classes with deterministic ordering (identity class first)."""
+    """Conjugacy classes, identity class first; `class_members[c]` stores the
+    sorted members of class c as the class walk found them."""
 
     group: FiniteGroup
     class_of: tuple[int, ...]
@@ -470,40 +487,27 @@ class ConjugacyClassTable:
     sizes: tuple[int, ...]
     inverse_class: tuple[int, ...]
     centralizer_sizes: tuple[int, ...]
+    class_members: tuple[tuple[int, ...], ...]
 
     @property
     def n_classes(self) -> int:
         return len(self.reps)
 
     def members(self, c: int) -> tuple[int, ...]:
-        return tuple(g for g in range(self.group.order) if self.class_of[g] == c)
+        return self.class_members[c]
 
 
 def conjugacy_classes(G: FiniteGroup) -> ConjugacyClassTable:
-    n = G.order
-    class_of = [-1] * n
-    reps: list[int] = []
-    sizes: list[int] = []
-    scan_order = [G.identity] + [g for g in range(n) if g != G.identity]
-    for g in scan_order:
-        if class_of[g] >= 0:
-            continue
-        cid = len(reps)
-        orbit = sorted({G.conj(h, g) for h in range(n)})
-        for x in orbit:
-            class_of[x] = cid
-        reps.append(min(orbit))
-        sizes.append(len(orbit))
-    inverse_class = tuple(class_of[G.inv(r)] for r in reps)
-    centralizer_sizes = tuple(n // s for s in sizes)
-    return ConjugacyClassTable(
-        group=G,
-        class_of=tuple(class_of),
-        reps=tuple(reps),
-        sizes=tuple(sizes),
-        inverse_class=inverse_class,
-        centralizer_sizes=centralizer_sizes,
-    )
+    n, t = G.order, G.mul_table
+
+    def conjugates(g: int) -> Iterable[int]:  # h g h^-1 for every h
+        return map(getitem, compose_maps(t, [row[g] for row in t]), G.inv_table)
+
+    scan = [G.identity] + [g for g in range(n) if g != G.identity]
+    members, class_of = orbit_partition(n, scan, conjugates)
+    reps, sizes = tuple(m[0] for m in members), tuple(map(len, members))
+    return ConjugacyClassTable(G, class_of, reps, sizes, tuple(class_of[G.inv(r)] for r in reps),
+                               tuple(n // s for s in sizes), members)
 
 
 def centralizer_order(G: FiniteGroup, g: int) -> int:
@@ -588,20 +592,10 @@ class CosetSpace:
 def coset_space(G: FiniteGroup, H: SubgroupHandle) -> CosetSpace:
     if not same_group(G, H.parent):
         raise NotASubgroup("subgroup belongs to a different group")
-    coset_of = [-1] * G.order
-    cosets: list[tuple[int, ...]] = []
-    reps: list[int] = []
     hs = H.elements
-    for g in range(G.order):
-        if coset_of[g] >= 0:
-            continue
-        cid = len(cosets)
-        members = sorted(G.mul(g, h) for h in hs)
-        for x in members:
-            coset_of[x] = cid
-        cosets.append(tuple(members))
-        reps.append(members[0])
-    return CosetSpace(G, H, tuple(cosets), tuple(reps), tuple(coset_of))
+    cosets, coset_of = orbit_partition(
+        G.order, range(G.order), lambda g: compose_maps(G.mul_table[g], hs))
+    return CosetSpace(G, H, cosets, tuple(c[0] for c in cosets), coset_of)
 
 
 def subgroup_as_group(G: FiniteGroup, H: SubgroupHandle) -> tuple[FiniteGroup, tuple[int, ...]]:

@@ -41,7 +41,6 @@ from .errors import (
 )
 from .groups import (
     ConjugacyClassTable,
-    CosetSpace,
     FiniteGroup,
     SubgroupHandle,
     compose_maps,
@@ -49,6 +48,7 @@ from .groups import (
     direct_product,
     extend_generator_images,
     law_break,
+    orbit_partition,
     same_group,
     subgroup_as_group,
 )
@@ -163,16 +163,9 @@ def action_principal_chiral(G: FiniteGroup) -> GroupAction:
 
 
 def orbits(A: GroupAction) -> tuple[tuple[int, ...], ...]:
-    seen = [False] * A.set_size
-    out = []
-    for s in range(A.set_size):
-        if seen[s]:
-            continue
-        orb = sorted({A.table[g][s] for g in range(A.group.order)})
-        for x in orb:
-            seen[x] = True
-        out.append(tuple(orb))
-    return tuple(out)
+    blocks, _ = orbit_partition(A.set_size, range(A.set_size),
+                                lambda s: [row[s] for row in A.table])
+    return blocks
 
 
 def fixed_point_count(A: GroupAction, g: int) -> int:
@@ -183,14 +176,20 @@ def fixed_point_character(A: GroupAction, classes: ConjugacyClassTable) -> Class
     """Per-class fixed-point counts, verified constant on every class member."""
     if not same_group(A.group, classes.group):
         raise GroupMismatch("action and class table use different groups")
-    values = []
-    for c in range(classes.n_classes):
-        counts = [fixed_point_count(A, g) for g in classes.members(c)]
-        if len(set(counts)) != 1:
-            raise ClassInconsistency(
-                f"fixed-point count varies inside class {c}: {counts}")
-        values.append(Cyclotomic.rational(counts[0]))
-    return ClassFunction(A.group, tuple(values))
+    counts = _class_values(classes, lambda g: fixed_point_count(A, g), "fixed-point counts")
+    return ClassFunction(A.group, tuple(map(Cyclotomic.rational, counts)))
+
+
+def _class_values(classes: ConjugacyClassTable, value_at, what: str) -> tuple:
+    """value_at(g) once per class, checked equal at every member of the class;
+    ClassInconsistency otherwise."""
+    out = []
+    for c, members in enumerate(classes.class_members):
+        v = value_at(members[0])
+        if any(value_at(g) != v for g in members[1:]):
+            raise ClassInconsistency(f"{what} vary inside class {c}")
+        out.append(v)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -228,25 +227,6 @@ def mat_mul_exact(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
 def mat_identity_exact(n: int) -> ExactMatrix:
     one, zero = Cyclotomic.one(), Cyclotomic.zero()
     return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-
-
-def mat_det_exact(m: ExactMatrix) -> Cyclotomic:
-    """Determinant by cofactor expansion; fine for the small dims used here."""
-    n = len(m)
-    if n == 0:
-        return Cyclotomic.one()
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    total = Cyclotomic.zero()
-    for j in range(n):
-        if m[0][j].is_zero():
-            continue
-        minor = tuple(tuple(row[c] for c in range(n) if c != j) for row in m[1:])
-        term = m[0][j] * mat_det_exact(minor)
-        total = total + (term if j % 2 == 0 else -term)
-    return total
 
 
 def mat_to_complex(m: ExactMatrix) -> ComplexMatrix:
@@ -612,14 +592,8 @@ def det_rep(rep: UnitaryRep) -> OneDimRep:
 def one_dim_class_values(chi: OneDimRep, classes: ConjugacyClassTable) -> ClassFunction:
     if not same_group(chi.group, classes.group):
         raise GroupMismatch("character and class table use different groups")
-    vals = []
-    for c, r in enumerate(classes.reps):
-        v = chi.values[r]
-        for g in classes.members(c):
-            if chi.values[g] != v:
-                raise ClassInconsistency(f"one-dim values vary inside class {c}")
-        vals.append(v)
-    return ClassFunction(chi.group, tuple(vals))
+    return ClassFunction(chi.group, _class_values(classes, chi.values.__getitem__,
+                                                  "one-dim values"))
 
 
 # ---------------------------------------------------------------------------
@@ -627,19 +601,17 @@ def one_dim_class_values(chi: OneDimRep, classes: ConjugacyClassTable) -> ClassF
 
 @dataclass(frozen=True)
 class PureGauge:
-    kind: str = "none"
+    """No matter: every site carries the trivial character."""
 
 
 @dataclass(frozen=True)
 class ScalarMatter:
     action: GroupAction
-    kind: str = "scalar"
 
 
 @dataclass(frozen=True)
 class ScalarMatterPerSite:
     actions: tuple[GroupAction, ...]
-    kind: str = "scalar_per_site"
 
 
 Vacuum = Union[str, OneDimRep]  # "trivial" | "staggered" | explicit character
@@ -650,7 +622,6 @@ class FermionMatter:
     flavours: tuple[UnitaryRep, ...]
     spinor_count: int = 1
     vacuum: Vacuum = "trivial"
-    kind: str = "fermion"
 
     def __post_init__(self):
         if self.spinor_count < 1:

@@ -11,7 +11,6 @@ the engine uses).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -20,7 +19,6 @@ from .errors import (
     BadParams,
     BudgetExceeded,
     DimTooLarge,
-    GroupMismatch,
     NonIntegralResult,
     NotFree,
     NotTransitive,
@@ -29,7 +27,6 @@ from .groups import (
     FiniteGroup,
     SubgroupHandle,
     coset_space,
-    same_group,
     subgroup_from_elements,
 )
 from .lattice import LatticeGraph, TwistSpec, dangling_boundary_extension
@@ -45,7 +42,6 @@ from .matter import (
     UnitaryRep,
     action_coset,
     fixed_point_count,
-    mat_det_exact,
 )
 
 DEFAULT_ORACLE_BUDGET = 10_000_000
@@ -55,16 +51,17 @@ Weight = Union[int, Fraction, Cyclotomic]
 
 
 def pair_count_table(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
-    """M[a][b] = #{g : a g = g b}, found by direct enumeration."""
+    """M[a][b] = #{g : a g = g b}, by direct enumeration of g and a: the one
+    b that each pair admits is g^-1 a g."""
     cached = getattr(G, "_pair_counts", None)
     if cached is not None:
         return cached
-    n = G.order
-    mul = G.mul_table
-    table = tuple(
-        tuple(sum(1 for g in range(n) if mul[a][g] == mul[g][b]) for b in range(n))
-        for a in range(n)
-    )
+    n, mul = G.order, G.mul_table
+    counts = [[0] * n for _ in range(n)]
+    for g in range(n):
+        for a in range(n):
+            counts[a][mul[G.inv(g)][mul[a][g]]] += 1
+    table = tuple(map(tuple, counts))
     object.__setattr__(G, "_pair_counts", table)
     return table
 
@@ -100,8 +97,6 @@ def burnside_count(G: FiniteGroup, L: LatticeGraph,
     maps = {i: endo.image for i, endo in twist.maps.items()} if twist is not None else {}
     if any(not 0 <= i < E for i in maps):
         raise BadParams(f"twist names a link outside the {E} links of the lattice")
-    M = pair_count_table(G)
-
     supports = [tuple(g for g in range(n) if row[g] != 0) for row in weights]
     volume = 1
     for s in supports:
@@ -109,6 +104,7 @@ def burnside_count(G: FiniteGroup, L: LatticeGraph,
     if volume * max(E, 1) > budget:
         raise BudgetExceeded(
             f"{volume} configurations x {E} links exceeds budget {budget}")
+    M = pair_count_table(G)
 
     total: Weight = 0
     for h in itertools.product(*supports):
@@ -137,6 +133,25 @@ def burnside_count(G: FiniteGroup, L: LatticeGraph,
 
 # ---------------------------------------------------------------------------
 # exact Fock-space traces from matrix minors
+
+def mat_det_exact(m: ExactMatrix) -> Cyclotomic:
+    """Determinant by cofactor expansion; fine for the small dims used here."""
+    n = len(m)
+    if n == 0:
+        return Cyclotomic.one()
+    if n == 1:
+        return m[0][0]
+    if n == 2:
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    total = Cyclotomic.zero()
+    for j in range(n):
+        if m[0][j].is_zero():
+            continue
+        minor = tuple(tuple(row[c] for c in range(n) if c != j) for row in m[1:])
+        term = m[0][j] * mat_det_exact(minor)
+        total = total + (term if j % 2 == 0 else -term)
+    return total
+
 
 def _minor_det(m: ExactMatrix, rows: tuple[int, ...], cols: tuple[int, ...]) -> Cyclotomic:
     sub = tuple(tuple(m[i][j] for j in cols) for i in rows)

@@ -265,12 +265,22 @@ def test_conjugacy_classes_d4():
 
 
 def test_class_ordering_contract():
-    for G in (symmetric_group(4), dihedral_group(6), quaternion_group()):
+    S4 = symmetric_group(4)
+    shift = [(i + 5) % 24 for i in range(24)]  # relabelling: identity lands at 5
+    back = sorted(range(24), key=shift.__getitem__)
+    loaded = group_from_text(group_to_text(group_from_table(
+        [[shift[S4.mul(back[a], back[b])] for b in range(24)] for a in range(24)])))
+    assert loaded.identity == 5
+    for G in (S4, dihedral_group(6), quaternion_group(), cyclic_group(9), loaded):
         cls = conjugacy_classes(G)
         assert cls.reps[0] == G.identity
         assert list(cls.reps[1:]) == sorted(cls.reps[1:])
         for c in range(cls.n_classes):
-            assert min(cls.members(c)) == cls.reps[c]
+            # the stored members are the conjugation orbit of the representative
+            scan = tuple(g for g in range(G.order) if cls.class_of[g] == c)
+            assert cls.members(c) == scan and len(scan) == cls.sizes[c]
+            assert set(scan) == {G.conj(h, cls.reps[c]) for h in range(G.order)}
+            assert min(scan) == cls.reps[c]
 
 
 def test_centralizer_product_law():

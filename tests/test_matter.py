@@ -69,7 +69,8 @@ from gaugecount import (
     validate_action,
     zn_charge_rep,
 )
-from gaugecount.matter import mat_det_exact, mat_identity_exact, mat_mul_exact
+from gaugecount.matter import mat_identity_exact, mat_mul_exact
+from gaugecount.oracle import mat_det_exact
 
 
 # ---------------------------------------------------------------------------

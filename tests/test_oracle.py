@@ -22,6 +22,7 @@ from gaugecount import (
     action_left_mult,
     action_product,
     action_trivial,
+    binary_tetrahedral_group,
     burnside_count,
     count,
     cyclic_group,
@@ -50,6 +51,7 @@ from gaugecount import (
     twist_on_wrap_edges,
     zn_charge_rep,
 )
+from gaugecount import oracle
 
 
 def test_pair_count_table_abelian_is_diagonal():
@@ -76,6 +78,25 @@ def test_pair_count_table_structure():
 def test_pair_count_table_is_memoized():
     G = dihedral_group(3)
     assert pair_count_table(G) is pair_count_table(G)
+
+
+def test_pair_count_table_matches_the_definition():
+    for G in (symmetric_group(3), dihedral_group(4), quaternion_group(),
+              binary_tetrahedral_group(), symmetric_group(5)):
+        n, mul = G.order, G.mul_table
+        brute = tuple(tuple(sum(mul[a][g] == mul[g][b] for g in range(n)) for b in range(n))
+                      for a in range(n))
+        assert pair_count_table(G) == brute, G.name
+
+
+def test_burnside_checks_the_budget_before_the_pair_table(monkeypatch):
+    def refuse(G):
+        raise AssertionError("pair table built before the budget check")
+
+    monkeypatch.setattr(oracle, "pair_count_table", refuse)
+    S3 = symmetric_group(3)
+    with pytest.raises(BudgetExceeded):
+        burnside_count(S3, lattice_chain(2, periodic=True), [(1,) * 6] * 2, budget=35)
 
 
 def test_burnside_pure_gauge():
