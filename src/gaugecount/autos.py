@@ -123,9 +123,7 @@ def is_class_inverting(phi: GroupEndomorphism, classes: ConjugacyClassTable) -> 
         raise GroupMismatch("endomorphism and class table use different groups")
     if not is_automorphism(phi):
         raise NotAnAutomorphism("class-inverting test needs a bijective map")
-    co = classes.class_of
-    return all(co[phi.image[r]] == classes.inverse_class[co[r]]
-               for r in classes.reps)
+    return class_image(phi, classes) == classes.inverse_class
 
 
 def is_ambivalent(classes: ConjugacyClassTable) -> bool:
@@ -133,9 +131,11 @@ def is_ambivalent(classes: ConjugacyClassTable) -> bool:
 
 
 def class_image(phi: GroupEndomorphism, classes: ConjugacyClassTable) -> tuple[int, ...]:
-    """Induced map on class indices; requires an automorphism."""
-    if not is_automorphism(phi):
-        raise NotAnAutomorphism("class image map needs a bijective map")
+    """The class each class is sent into: phi(h g h^-1) = phi(h) phi(g) phi(h)^-1,
+    so a class lands inside one class.  The map is a bijection exactly when
+    phi is an automorphism."""
+    if not same_group(phi.group, classes.group):
+        raise GroupMismatch("endomorphism and class table use different groups")
     return tuple(classes.class_of[phi.image[r]] for r in classes.reps)
 
 

@@ -8,19 +8,20 @@ connected component K of the untwisted links to one class C_K, and the
 dimension is a single contraction of exact class sums
 
     dim = sum_{C_K}  prod_links |G|/|C_K(tail)|
-            * prod_x chi_x(C_K(x)) * #{h in C_K(x) : class(phi_l(h)) = C_K(t)
-                                          for each twisted link l: t -> x} / |G|
+            * prod_x chi_x(C_K(x)) * |C_K(x)|/|G|
+            * prod_{twisted links l: t -> x} [phi_l(C_K(x)) = C_K(t)]
 
-over cyclotomic numbers.  Boundary conditions are the per-link maps phi_l,
-fed to this one sum as data: a sink link (phi_l constant, so everything goes
-to the identity) forces its tail's component into the identity class; a
-twisted link inside a component weights its head by
-alpha(C) = #{h in C : phi_l(h) in C} / |C|; a free site (no untwisted link,
-tail of no twisted link, only constant maps in) decouples into the factor
-(1/|G|) sum_g chi_x(g); twisted links between components become small
-factor tables, read off one joint class histogram per distinct set of maps
-into a head and summed out by bucket elimination onto the component of the
-lowest-numbered constrained site, whose classes give the per-class breakdown.
+over cyclotomic numbers, phi_l(C) being the class that the endomorphism
+phi_l sends the class C into.  Boundary conditions are the per-link maps
+phi_l, fed to this one sum as their class maps: a sink link (phi_l
+constant) forces its tail's component into the identity class; a twisted
+link inside a component keeps the classes C of its head with phi_l(C) = C
+(alpha(C) = 1); a free site (no untwisted link, tail of no twisted link,
+only constant maps in) decouples into the factor (1/|G|) sum_g chi_x(g);
+twisted links between components become 0/1 factor tables, read off the
+class maps into a head and summed out by bucket elimination onto the
+component of the lowest-numbered constrained site, whose classes give the
+per-class breakdown.
 The cost follows distinct characters and nonzero entries, not sites or class
 tuples: sites with equal character values share one power, and elimination
 joins only the nonzero entries of the tables it sums out.
@@ -38,6 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
+from .autos import class_image
 from .cyclo import Cyclotomic
 from .errors import BadParams, GroupMismatch, NonIntegralResult
 from .groups import ConjugacyClassTable, FiniteGroup, conjugacy_classes, same_group
@@ -82,7 +84,7 @@ class CountReport:
     twisted_head_count: int  # heads of links under a non-constant map
     class_sizes: tuple[int, ...]
     per_class: tuple[Cyclotomic, ...]
-    alpha: Optional[tuple[Fraction, ...]]
+    alpha: Optional[tuple[Fraction, ...]]  # 0/1: every non-constant map fixes the class
     free_factor: Cyclotomic
     witness: IntegralityWitness
     warnings: tuple[str, ...]
@@ -112,10 +114,11 @@ def count_general(G: FiniteGroup,
         if not same_group(ch.group, G):
             raise GroupMismatch("site character lives over a different group")
 
-    # the twist as data: each twisted link names one distinct map, interned by
-    # its image; identity maps leave their links untwisted
+    # the twist as data: each distinct map, interned by its image, is read once
+    # as a class map; identity maps leave their links untwisted
     maps = twist.maps if twist is not None else {}
     index: dict[tuple[int, ...], int] = {}  # image -> map number
+    cmaps: list[tuple[int, ...]] = []  # map number -> its class map
     map_of: dict[int, int] = {}  # twisted link -> map number
     identity = tuple(range(G.order))
     for i, endo in sorted(maps.items()):
@@ -124,29 +127,23 @@ def count_general(G: FiniteGroup,
         if not same_group(endo.group, G):
             raise GroupMismatch("twist endomorphism lives over a different group")
         if endo.image != identity:
-            map_of[i] = index.setdefault(endo.image, len(index))
+            if endo.image not in index:
+                index[endo.image] = len(cmaps)
+                cmaps.append(class_image(endo, classes))
+            map_of[i] = index[endo.image]
     warnings: list[str] = []
     if len(map_of) < len(maps):
         warnings.append("identity twist normalized to untwisted links")
-    images = list(index)
-    # a constant map sends everything to the identity: a sink link
-    constant = [all(v == G.identity for v in img) for img in images]
+    # a sink link's map is constant: the only one that sends every class to
+    # the identity class, as only the identity lies in that class
+    constant = [set(cmap) == {classes.class_of[G.identity]} for cmap in cmaps]
     proper = tuple(m for m, c in enumerate(constant) if not c)
     for i in map_of:
         t, h = L.edges[i]
         if t == h:
             warnings.append(f"twisted link {i} is a self-loop")
 
-    n_cls, sizes, class_of = classes.n_classes, classes.sizes, classes.class_of
-    hists: dict[tuple[int, ...], list] = {}  # maps -> sorted #h per (class(h), class(phi_m(h))...)
-
-    def histogram(ms: tuple[int, ...]) -> list:
-        if ms not in hists:
-            hists[ms] = sorted(Counter(
-                (class_of[g],) + tuple(class_of[images[m][g]] for m in ms)
-                for g in range(G.order)).items())
-        return hists[ms]
-
+    n_cls, sizes = classes.n_classes, classes.sizes
     untwisted = [e for i, e in enumerate(L.edges) if i not in map_of]
     comps = connected_components(V, untwisted)
     comp_of = [0] * V
@@ -169,26 +166,23 @@ def count_general(G: FiniteGroup,
     free_set = set(free)
     bulk = [x for x in range(V) if x not in free_set]
 
-    # one factor per twisted head, over its component (none for a free head,
-    # whose constant maps ignore its class) and its tails' components: the
-    # share of h in the head's class C with class(phi_m(h)) = the class of
-    # each tail under map m; equal factors are merged into a power
-    head_factors = Counter((None if x in free_set else comp_of[x], frozenset(pairs))
-                           for x, pairs in into.items())
     # rational weight per component and class: (|G|/|C|)^(links out - sites),
     # times every factor that involves this component alone
     weight = [[Fraction(G.order, sizes[c]) ** (out_links[k] - len(comps[k]))
                for c in range(n_cls)] for k in range(len(comps))]
+    # one 0/1 factor per twisted head, over its component (none for a free
+    # head, whose constant maps ignore its class) and its tails' components:
+    # head class C admits exactly the tail class cmaps[m][C] under map m;
+    # equal factors are kept once, in first-seen order
     factors: list[tuple[tuple[int, ...], dict]] = []
-    for (head, pairs), mult in head_factors.items():
-        ms = tuple(sorted({m for m, _ in pairs}))
-        col = {m: j for j, m in enumerate(ms, 1)}
+    for head, pairs in dict.fromkeys((None if x in free_set else comp_of[x], frozenset(pairs))
+                                     for x, pairs in into.items()):
         scope = tuple(sorted({k for _, k in pairs} | ({head} if head is not None else set())))
         table = {}
-        for key, n in histogram(ms):
-            at = {} if head is None else {head: key[0]}
-            if all(at.setdefault(k, key[col[m]]) == key[col[m]] for m, k in pairs):
-                table[tuple(at[v] for v in scope)] = Fraction(n, sizes[key[0]]) ** mult
+        for c in range(n_cls):
+            at = {} if head is None else {head: c}
+            if all(at.setdefault(k, cmaps[m][c]) == cmaps[m][c] for m, k in pairs):
+                table[tuple(at[v] for v in scope)] = 1
         if len(scope) == 1:
             weight[scope[0]] = [w * table.get((c,), 0) for c, w in enumerate(weight[scope[0]])]
         else:
@@ -273,9 +267,9 @@ def count_general(G: FiniteGroup,
             f"nonnegative={witness.nonnegative}")
     total = int(total_cyc.rational_value())
 
-    # alpha(C): the share of C that every non-constant map keeps in C
-    alpha = tuple(Fraction(sum(n for key, n in histogram(proper) if key == (c,) * len(key)), z)
-                  for c, z in enumerate(sizes)) if proper else None
+    # alpha(C): whether every non-constant map keeps C in place
+    alpha = tuple(Fraction(all(cmaps[m][c] == c for m in proper))
+                  for c in range(n_cls)) if proper else None
 
     return CountReport(
         total=total,
@@ -285,7 +279,7 @@ def count_general(G: FiniteGroup,
         edge_count=E,
         bulk_site_count=len(bulk),
         free_sites=tuple(free),
-        twist_kind="proper" if proper else "sink" if images else "none",
+        twist_kind="proper" if proper else "sink" if cmaps else "none",
         twisted_head_count=sum(any(not constant[m] for m, _ in pairs)
                                for pairs in into.values()),
         class_sizes=classes.sizes,

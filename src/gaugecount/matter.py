@@ -699,6 +699,8 @@ def total_hilbert_dim(G: FiniteGroup, L: LatticeGraph, matter: MatterSpec) -> in
     if isinstance(matter, ScalarMatter):
         dim *= matter.action.set_size ** L.site_count
     elif isinstance(matter, ScalarMatterPerSite):
+        if len(matter.actions) != L.site_count:
+            raise BadParams(f"{len(matter.actions)} actions for {L.site_count} physical sites")
         for a in matter.actions:
             dim *= a.set_size
     elif isinstance(matter, FermionMatter):

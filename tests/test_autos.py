@@ -7,6 +7,7 @@ import pytest
 
 from gaugecount import (
     BadParams,
+    GroupMismatch,
     InvalidGammaSet,
     NotAHomomorphism,
     NotAnAutomorphism,
@@ -241,6 +242,12 @@ def test_class_image():
     cls = conjugacy_classes(G)
     cmap = class_image(inversion_endo(G), cls)
     assert cmap == (0, 3, 2, 1)
+    # maps with a kernel are served too: x -> x^2 and the constant map
+    square = endo_from_image(G, [G.mul(g, g) for g in range(G.order)])
+    assert class_image(square, cls) == (0, 2, 0, 2)
+    assert class_image(constant_identity_endo(G), cls) == (0, 0, 0, 0)
+    with pytest.raises(GroupMismatch):
+        class_image(identity_endo(cyclic_group(3)), conjugacy_classes(symmetric_group(3)))
 
 
 def test_hamiltonian_symmetry_check():

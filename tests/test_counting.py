@@ -1,5 +1,6 @@
 """Exact counting engine: hand values, twists, boundaries, integrality."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -37,6 +38,7 @@ from gaugecount import (
     dangling_boundary_extension,
     dihedral_group,
     dihedral_rotation_rep,
+    endo_from_image,
     fermion_site_characters,
     first_proper_subgroup,
     fixed_point_character,
@@ -57,6 +59,7 @@ from gaugecount import (
     zn_charge_rep,
     zn_site_characters,
 )
+from gaugecount.groups import extend_generator_images
 
 
 def test_pure_gauge_periodic_chain_counts_classes():
@@ -252,14 +255,24 @@ def test_disconnected_bulk_matches_oracle():
     assert r.bulk_site_count == 2 and r.free_sites == ()
 
 
+def _kernel_maps(G):
+    """Every endomorphism with a kernel that is not constant, from all
+    generator images."""
+    found = (extend_generator_images(G, imgs, G.mul, G.identity)
+             for imgs in itertools.product(range(G.order), repeat=len(G.generators)))
+    return [endo_from_image(G, f) for f in found
+            if f is not None and 1 < len(set(f)) < G.order]
+
+
 def _boundary_maps(G):
-    """The identity, the constant map, inversion when abelian and every inner
-    automorphism, one endomorphism per distinct image."""
+    """The identity, the constant map, inversion when abelian, every inner
+    automorphism and every non-constant map with a kernel, one endomorphism
+    per distinct image."""
     endos = [identity_endo(G), constant_identity_endo(G)]
     endos += [inner_automorphism(G, h) for h in range(G.order)]
     if G.is_abelian():
         endos.append(inversion_endo(G))
-    return list({e.image: e for e in endos}.values())
+    return list({e.image: e for e in endos + _kernel_maps(G)}.values())
 
 
 def _per_link_twist(rng, maps, n_links, p=0.5):
@@ -550,6 +563,14 @@ def test_report_structure():
     assert r.site_count == 2 and r.edge_count == 2 and r.bulk_site_count == 2
     assert r.alpha is None and r.free_sites == ()
     assert r.witness.ring_order >= 1 and r.witness.denominator == 1
+
+
+def test_per_site_action_count_must_match_the_sites():
+    S3 = symmetric_group(3)
+    per = ScalarMatterPerSite((action_left_mult(S3),) * 5)
+    for run in (count, total_hilbert_dim):
+        with pytest.raises(BadParams, match="5 actions for 2 physical sites"):
+            run(S3, lattice_chain(2), per)
 
 
 def test_total_hilbert_dim_values():

@@ -1,8 +1,9 @@
 """Seeded property test: the class-sum count equals the element-level oracle
-on generated groups, multigraphs, matter, per-link boundary maps and
-dangling boundaries."""
+on generated groups, multigraphs, matter, per-link boundary maps (kernel
+maps included) and dangling boundaries."""
 
 import functools
+import itertools
 
 import pytest
 
@@ -26,6 +27,7 @@ from gaugecount import (  # noqa: E402
     cyclic_group,
     dihedral_group,
     dihedral_rotation_rep,
+    endo_from_image,
     first_proper_subgroup,
     identity_endo,
     inner_automorphism,
@@ -39,11 +41,12 @@ from gaugecount import (  # noqa: E402
     trivial_rep,
     zn_charge_rep,
 )
+from gaugecount.groups import extend_generator_images  # noqa: E402
 
 GROUPS = ("Z2", "Z3", "Z4", "Z5", "Z6", "S3", "D4", "Q8")
 MAX_SITES = 4  # the virtual site of a dangling boundary included
 MAX_LINKS = 6
-MAP_KINDS = ("untwisted", "identity", "constant", "inversion", "inner")
+MAP_KINDS = ("untwisted", "identity", "constant", "inversion", "inner", "kernel")
 
 
 def _s3_standard_rep(G):
@@ -53,9 +56,19 @@ def _s3_standard_rep(G):
     return rep_from_generator_images(G, (((z, o), (o, z)), ((w, z), (z, w * w))))
 
 
+def _kernel_maps(G):
+    """Every endomorphism with a kernel that is not constant, from all
+    generator images."""
+    found = (extend_generator_images(G, imgs, G.mul, G.identity)
+             for imgs in itertools.product(range(G.order), repeat=len(G.generators)))
+    return [endo_from_image(G, f) for f in found
+            if f is not None and 1 < len(set(f)) < G.order]
+
+
 @functools.lru_cache(maxsize=None)
 def _setup(name):
-    """(group, class table, scalar actions, flavour reps) for one group name."""
+    """(group, class table, scalar actions, flavour reps, kernel maps) for one
+    group name."""
     if name.startswith("Z"):
         G = cyclic_group(int(name[1:]))
         reps = (one_dim_to_rep(zn_charge_rep(G, 1)), one_dim_to_rep(zn_charge_rep(G, 2)))
@@ -69,7 +82,7 @@ def _setup(name):
         G = quaternion_group()
         reps = (su2_fundamental_rep(G),)
     actions = (action_left_mult(G), action_coset(G, first_proper_subgroup(G)))
-    return G, conjugacy_classes(G), actions, reps + (trivial_rep(G),)
+    return G, conjugacy_classes(G), actions, reps + (trivial_rep(G),), _kernel_maps(G)
 
 
 def _boundary_map(G, kind, h):
@@ -85,7 +98,7 @@ def _boundary_map(G, kind, h):
 @st.composite
 def cases(draw):
     name = draw(st.sampled_from(GROUPS))
-    G, cls, actions, reps = _setup(name)
+    G, cls, actions, reps, kernel = _setup(name)
     matter_kind = draw(st.sampled_from(("fermion", "scalar", "pure")))
     vacuum = draw(st.sampled_from(("trivial", "staggered")))
     dangling = draw(st.booleans())
@@ -99,7 +112,9 @@ def cases(draw):
     maps = {}
     for i in range(len(edges)):
         kind = draw(st.sampled_from(MAP_KINDS))
-        if kind != "untwisted":
+        if kind == "kernel" and kernel:
+            maps[i] = draw(st.sampled_from(kernel))
+        elif kind != "untwisted":
             maps[i] = _boundary_map(G, kind, draw(st.integers(0, G.order - 1)))
     attach = (tuple(draw(st.lists(point, min_size=1, max_size=sites, unique=True)))
               if dangling else None)
