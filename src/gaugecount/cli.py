@@ -367,8 +367,9 @@ def _resolve_job(cfg: dict):
 def cmd_count(args) -> int:
     cfg = _load_config(args.config)
     G, L, matter, twist, attach = _resolve_job(cfg)
-    rep = count(G, L, matter, twist=twist, dangling_attach=attach)
-    tot = total_hilbert_dim(G, L, matter)
+    classes = conjugacy_classes(G)
+    rep = count(G, L, matter, twist=twist, dangling_attach=attach, classes=classes)
+    tot = total_hilbert_dim(G, L, matter, classes)
     fmt = args.format or cfg.get("output", {}).get("format", "text")
     out_path = cfg.get("output", {}).get("path")
     if fmt == "json":

@@ -192,7 +192,7 @@ def count_general(G: FiniteGroup,
     # sites grouped by character value, not object, so each distinct value is
     # raised once; same maps each object's id to the first equal character
     by_value: dict[tuple, ClassFunction] = {}
-    same = {id(ch): by_value.setdefault(tuple((v.order, v.coeffs) for v in ch.values), ch)
+    same = {id(ch): by_value.setdefault(tuple((v.order, v.num, v.den) for v in ch.values), ch)
             for ch in {id(ch): ch for ch in chars}.values()}
     multiplicity = [Counter(id(same[id(chars[x])]) for x in members) for members in comps]
 

@@ -22,6 +22,7 @@ the vacuum.
 from __future__ import annotations
 
 import cmath
+import collections
 import functools
 import math
 import operator
@@ -44,6 +45,7 @@ from .groups import (
     FiniteGroup,
     SubgroupHandle,
     compose_maps,
+    conjugacy_classes,
     coset_space,
     direct_product,
     extend_generator_images,
@@ -693,19 +695,19 @@ def site_characters(matter: MatterSpec, classes: ConjugacyClassTable,
     raise BadParams(f"unknown matter specification {matter!r}")
 
 
-def total_hilbert_dim(G: FiniteGroup, L: LatticeGraph, matter: MatterSpec) -> int:
-    """Dimension of the full unconstrained space (links times site spaces)."""
+def total_hilbert_dim(G: FiniteGroup, L: LatticeGraph, matter: MatterSpec,
+                      classes: Optional[ConjugacyClassTable] = None) -> int:
+    """Dimension of the full unconstrained space: |G| per link times each
+    site's dimension, its character at the identity class.  The site
+    characters are the ones `count` builds, so both validate alike."""
+    classes = classes or conjugacy_classes(G)
+    if not same_group(G, classes.group):
+        raise GroupMismatch("group and class table disagree")
+    dims = collections.Counter(ch.values[0].integer_value()
+                               for ch in site_characters(matter, classes, L.site_count))
     dim = G.order ** L.edge_count
-    if isinstance(matter, ScalarMatter):
-        dim *= matter.action.set_size ** L.site_count
-    elif isinstance(matter, ScalarMatterPerSite):
-        if len(matter.actions) != L.site_count:
-            raise BadParams(f"{len(matter.actions)} actions for {L.site_count} physical sites")
-        for a in matter.actions:
-            dim *= a.set_size
-    elif isinstance(matter, FermionMatter):
-        modes = matter.spinor_count * sum(f.dim for f in matter.flavours)
-        dim *= (2 ** modes) ** L.site_count
+    for d, m in dims.items():
+        dim *= d ** m
     return dim
 
 

@@ -580,3 +580,25 @@ def test_total_hilbert_dim_values():
     assert total_hilbert_dim(S3, L, ScalarMatter(action_left_mult(S3))) == 216
     per = ScalarMatterPerSite((action_left_mult(S3), action_trivial(S3, 2)))
     assert total_hilbert_dim(S3, L, per) == 72
+    Q8 = quaternion_group()
+    fermion = FermionMatter((su2_fundamental_rep(Q8),), 2, "staggered")
+    L4 = lattice_chain(4)
+    assert total_hilbert_dim(Q8, L4, fermion, conjugacy_classes(Q8)) == 8 ** 3 * 16 ** 4
+
+
+def test_staggered_fermions_on_odd_sites_have_no_total_dim():
+    Q8 = quaternion_group()
+    fermion = FermionMatter((su2_fundamental_rep(Q8),), 1, "staggered")
+    for run in (count, total_hilbert_dim):
+        with pytest.raises(OddSitesForStaggered):
+            run(Q8, lattice_chain(3), fermion)
+
+
+def test_action_of_another_group_has_no_total_dim():
+    S3 = symmetric_group(3)
+    scalar = ScalarMatter(action_left_mult(cyclic_group(3)))
+    for run in (count, total_hilbert_dim):
+        with pytest.raises(GroupMismatch):
+            run(S3, lattice_chain(2), scalar)
+    with pytest.raises(GroupMismatch):
+        total_hilbert_dim(S3, lattice_chain(2), PureGauge(), conjugacy_classes(cyclic_group(6)))
