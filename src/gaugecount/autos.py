@@ -38,7 +38,7 @@ from .groups import (
     law_break,
     same_group,
 )
-from .textio import end_line, read_ints, read_records
+from .textio import end_line, read_ints, read_records, write_records
 
 DEFAULT_AUT_BUDGET = 10_000_000
 
@@ -298,7 +298,7 @@ def hamiltonian_symmetry_check(tau: GroupEndomorphism,
 # text format (line grammar in textio)
 
 def endo_to_text(phi: GroupEndomorphism) -> str:
-    return f"endo {phi.group.order}\n" + " ".join(map(str, phi.image)) + "\n"
+    return write_records("endo", (phi.group.order,), (phi.image,))
 
 
 def endo_from_text(text: str, G: FiniteGroup) -> GroupEndomorphism:

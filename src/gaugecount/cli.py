@@ -201,7 +201,10 @@ def build_matter(spec: Optional[dict], G: FiniteGroup, L: LatticeGraph) -> Matte
         if not isinstance(actions, list) or len(actions) != L.site_count:
             raise BadParams(
                 f"scalar_per_site needs one action per site ({L.site_count})")
-        return ScalarMatterPerSite(tuple(_build_action(a, G) for a in actions))
+        # one action per distinct spec, so each is built and checked once
+        keys = [json.dumps(a, sort_keys=True) for a in actions]
+        built = {k: _build_action(a, G) for k, a in dict(zip(keys, actions)).items()}
+        return ScalarMatterPerSite(tuple(built[k] for k in keys))
     if kind == "fermion":
         flavours = spec.get("flavours")
         if not isinstance(flavours, list) or not flavours:
@@ -302,34 +305,40 @@ def report_payload(rep: CountReport, G: FiniteGroup, matter: MatterSpec,
     return payload
 
 
-def _emit_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def _emit_csv(rows: list[dict]) -> str:
-    if not rows:
-        return ""
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()), lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def _count_text(rep: CountReport, G: FiniteGroup, matter: MatterSpec,
-                total_dim: int) -> str:
+def _count_views(payload: dict) -> tuple[dict, list[str]]:
+    """The one-row CSV table and the text lines of a count payload."""
+    g, lat, res = payload["group"], payload["lattice"], payload["result"]
+    row = {"command": "count", "group": g["name"], "order": g["order"],
+           "lattice": lat["name"], "sites": lat["sites"], "links": lat["links"],
+           "matter": payload["matter"], "twist_kind": payload["twist_kind"],
+           "total": res["total"]}
     lines = [
-        f"group: {rep.group_name} (order {G.order})",
-        f"lattice: {rep.lattice_name} sites={rep.site_count} links={rep.edge_count}",
-        f"matter: {_matter_label(matter)}",
-        f"twist: {rep.twist_kind}",
-        f"bulk sites: {rep.bulk_site_count}  free sites: {list(rep.free_sites)}",
-        f"total: {rep.total}",
-        f"total hilbert dim: {total_dim}",
+        f"group: {g['name']} (order {g['order']})",
+        f"lattice: {lat['name']} sites={lat['sites']} links={lat['links']}",
+        f"matter: {payload['matter']}",
+        f"twist: {payload['twist_kind']}",
+        f"bulk sites: {res['bulk_sites']}  free sites: {res['free_sites']}",
+        f"total: {res['total']}",
+        f"total hilbert dim: {res['total_hilbert_dim']}",
+        *(f"warning: {w}" for w in res["warnings"]),
     ]
-    for w in rep.warnings:
-        lines.append(f"warning: {w}")
-    return "\n".join(lines) + "\n"
+    return row, lines
+
+
+def render(fmt: str, payload: dict, row: dict, lines: list[str]) -> str:
+    """A report as JSON (the payload, sorted keys, indent 2), as a one-row
+    CSV table of the row, or as the text lines."""
+    if fmt == "json":
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=list(row), lineterminator="\n")
+        writer.writeheader()
+        writer.writerow(row)
+        return buf.getvalue()
+    if fmt == "text":
+        return "".join(f"{line}\n" for line in lines)
+    raise BadParams(f"unknown format {fmt!r}")
 
 
 def _write_out(text: str, path: Optional[str]) -> None:
@@ -370,22 +379,10 @@ def cmd_count(args) -> int:
     classes = conjugacy_classes(G)
     rep = count(G, L, matter, twist=twist, dangling_attach=attach, classes=classes)
     tot = total_hilbert_dim(G, L, matter, classes)
-    fmt = args.format or cfg.get("output", {}).get("format", "text")
-    out_path = cfg.get("output", {}).get("path")
-    if fmt == "json":
-        text = _emit_json(report_payload(rep, G, matter, tot, not args.no_timestamp))
-    elif fmt == "csv":
-        text = _emit_csv([{
-            "command": "count", "group": rep.group_name, "order": G.order,
-            "lattice": rep.lattice_name, "sites": rep.site_count,
-            "links": rep.edge_count, "matter": _matter_label(matter),
-            "twist_kind": rep.twist_kind, "total": str(rep.total),
-        }])
-    elif fmt == "text":
-        text = _count_text(rep, G, matter, tot)
-    else:
-        raise BadParams(f"unknown format {fmt!r}")
-    _write_out(text, out_path)
+    output = cfg.get("output", {})
+    payload = report_payload(rep, G, matter, tot, not args.no_timestamp)
+    _write_out(render(args.format or output.get("format", "text"), payload,
+                      *_count_views(payload)), output.get("path"))
     return EXIT_OK
 
 
@@ -437,15 +434,9 @@ def cmd_group_info(args) -> int:
         "outer_order": report.outer_order if report.complete else None,
         "enumeration_complete": report.complete,
     }
-    if args.format == "json" or args.format is None:
-        sys.stdout.write(_emit_json(payload))
-    elif args.format == "csv":
-        row = {k: (json.dumps(v) if isinstance(v, list) else v)
-               for k, v in payload.items()}
-        sys.stdout.write(_emit_csv([row]))
-    else:
-        for k, v in payload.items():
-            sys.stdout.write(f"{k}: {v}\n")
+    row = {k: (json.dumps(v) if isinstance(v, list) else v) for k, v in payload.items()}
+    lines = [f"{k}: {v}" for k, v in payload.items()]
+    sys.stdout.write(render(args.format or "json", payload, row, lines))
     return EXIT_OK
 
 
@@ -528,15 +519,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_CONFIG
     try:
         return args.fn(args)
-    except NonIntegralResult as e:
+    except (GaugeCountError, OSError) as e:
         sys.stderr.write(f"error: {type(e).__name__}: {e}\n")
-        return EXIT_NONINTEGRAL
-    except GaugeCountError as e:
-        sys.stderr.write(f"error: {type(e).__name__}: {e}\n")
-        return EXIT_CONFIG
-    except OSError as e:
-        sys.stderr.write(f"error: {type(e).__name__}: {e}\n")
-        return EXIT_CONFIG
+        return EXIT_NONINTEGRAL if isinstance(e, NonIntegralResult) else EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ from .errors import (
     ParseError,
     UnknownFamily,
 )
-from .textio import end_line, read_ints, read_records
+from .textio import end_line, read_ints, read_records, write_records
 
 
 @dataclass(frozen=True)
@@ -628,12 +628,7 @@ def first_proper_subgroup(G: FiniteGroup) -> SubgroupHandle:
 # text format: "order N", N table rows, optional "labels" section (see textio)
 
 def group_to_text(G: FiniteGroup) -> str:
-    lines = [f"order {G.order}"]
-    for row in G.mul_table:
-        lines.append(" ".join(map(str, row)))
-    lines.append("labels")
-    lines.extend(G.labels)
-    return "\n".join(lines) + "\n"
+    return write_records("order", (G.order,), (*G.mul_table, ("labels",), *zip(G.labels)))
 
 
 def group_from_text(text: str, name: str = "G") -> FiniteGroup:

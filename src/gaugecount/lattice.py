@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .autos import GroupEndomorphism, constant_identity_endo, is_endomorphism
 from .errors import BadDims, BadParams, NotAHomomorphism, ParseError
 from .groups import FiniteGroup
-from .textio import read_ints, read_records
+from .textio import read_ints, read_records, write_records
 
 Edge = tuple[int, int]
 
@@ -178,10 +178,9 @@ def dangling_boundary_extension(L: LatticeGraph, attach_sites: Sequence[int],
 # text format (line grammar in textio)
 
 def emit_edge_list(L: LatticeGraph, twisted: frozenset[int] = frozenset()) -> str:
-    lines = [f"lattice {L.site_count}"]
-    for i, (t, h) in enumerate(L.edges):
-        lines.append(f"{t} {h} twisted" if i in twisted else f"{t} {h}")
-    return "\n".join(lines) + "\n"
+    return write_records("lattice", (L.site_count,),
+                         ((t, h, "twisted") if i in twisted else (t, h)
+                          for i, (t, h) in enumerate(L.edges)))
 
 
 def parse_edge_list(text: str) -> tuple[LatticeGraph, frozenset[int]]:

@@ -54,7 +54,7 @@ from .groups import (
     same_group,
     subgroup_as_group,
 )
-from .textio import end_line, read_floats, read_ints, read_records
+from .textio import end_line, read_floats, read_ints, read_records, write_records
 
 if TYPE_CHECKING:
     from .lattice import LatticeGraph
@@ -606,14 +606,28 @@ class PureGauge:
     """No matter: every site carries the trivial character."""
 
 
+def _check_actions(actions: Sequence[GroupAction]) -> None:
+    """validate_action on each distinct action object (NotAHomomorphism)."""
+    for A in {id(A): A for A in actions}.values():
+        bad = validate_action(A)
+        if bad is not None:
+            raise NotAHomomorphism(f"not a group action: {bad[0]} violated at {bad[1]}")
+
+
 @dataclass(frozen=True)
 class ScalarMatter:
     action: GroupAction
+
+    def __post_init__(self):
+        _check_actions((self.action,))
 
 
 @dataclass(frozen=True)
 class ScalarMatterPerSite:
     actions: tuple[GroupAction, ...]
+
+    def __post_init__(self):
+        _check_actions(self.actions)
 
 
 Vacuum = Union[str, OneDimRep]  # "trivial" | "staggered" | explicit character
@@ -715,10 +729,7 @@ def total_hilbert_dim(G: FiniteGroup, L: LatticeGraph, matter: MatterSpec,
 # text formats (line grammar in textio)
 
 def action_to_text(A: GroupAction) -> str:
-    lines = [f"action {A.group.order} {A.set_size}"]
-    for row in A.table:
-        lines.append(" ".join(map(str, row)))
-    return "\n".join(lines) + "\n"
+    return write_records("action", (A.group.order, A.set_size), A.table)
 
 
 def action_from_text(text: str, G: FiniteGroup) -> GroupAction:
@@ -743,11 +754,9 @@ def action_from_text(text: str, G: FiniteGroup) -> GroupAction:
 
 
 def rep_to_text(rep: UnitaryRep) -> str:
-    lines = [f"rep {rep.group.order} {rep.dim}"]
-    for g in range(rep.group.order):
-        for row in rep.numeric[g]:
-            lines.append(" ".join(f"{v.real:.17g} {v.imag:.17g}" for v in row))
-    return "\n".join(lines) + "\n"
+    rows = (row for g in range(rep.group.order) for row in rep.numeric[g])
+    return write_records("rep", (rep.group.order, rep.dim),
+                         ([f"{v.real:.17g} {v.imag:.17g}" for v in row] for row in rows))
 
 
 def rep_from_text(text: str, G: FiniteGroup) -> UnitaryRep:

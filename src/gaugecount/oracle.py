@@ -22,6 +22,7 @@ from .errors import (
     NonIntegralResult,
     NotFree,
     NotTransitive,
+    OddSitesForStaggered,
 )
 from .groups import (
     FiniteGroup,
@@ -40,8 +41,8 @@ from .matter import (
     ScalarMatter,
     ScalarMatterPerSite,
     UnitaryRep,
-    action_coset,
     fixed_point_count,
+    orbits,
 )
 
 DEFAULT_ORACLE_BUDGET = 10_000_000
@@ -258,7 +259,8 @@ def oracle_count(G: FiniteGroup, L: LatticeGraph, matter: MatterSpec,
             rows = [tuple(b * vac[g] for g, b in enumerate(row)) for row in rows]
         elif matter.vacuum == "staggered":
             if n_phys % 2:
-                raise BadParams(f"staggered vacuum needs an even site count, got {n_phys}")
+                raise OddSitesForStaggered(
+                    f"staggered vacuum needs an even site count, got {n_phys}")
             stag = tuple(_staggered_weight(matter, G, g) for g in range(G.order))
             rows = [tuple(b * stag[g] for g, b in enumerate(base)) if x % 2 else base
                     for x in range(n_phys)]
@@ -281,19 +283,15 @@ def transitive_to_coset(A: GroupAction) -> tuple[SubgroupHandle, GroupAction, tu
     (element, point) pair.  Raises NotTransitive otherwise.
     """
     G, n = A.group, A.set_size
-    orbit0 = {A.table[g][0] for g in range(G.order)}
+    orbit0 = orbits(A)[0]
     if len(orbit0) != n:
         raise NotTransitive(f"orbit of point 0 has size {len(orbit0)}, set has {n}")
-    stab = [g for g in range(G.order) if A.table[g][0] == 0]
-    H = subgroup_from_elements(G, stab)
-    CA = action_coset(G, H)
+    H = subgroup_from_elements(G, [g for g in range(G.order) if A.table[g][0] == 0])
     cs = coset_space(G, H)
-    carrier: list[Optional[int]] = [None] * n
-    for g in range(G.order):
-        s = A.table[g][0]
-        if carrier[s] is None:
-            carrier[s] = cs.coset_of[g]
-    mapping = tuple(int(v) for v in carrier)
+    CA = GroupAction(G, cs.n_cosets, tuple(
+        tuple(cs.coset_of[G.mul(g, r)] for r in cs.reps) for g in range(G.order)))
+    carrier = {A.table[g][0]: cs.coset_of[g] for g in range(G.order)}
+    mapping = tuple(carrier[s] for s in range(n))
     if sorted(mapping) != list(range(n)):
         raise NotTransitive("point-to-coset map is not a bijection")
     for g in range(G.order):
@@ -317,20 +315,12 @@ def free_orbit_decomposition(A: GroupAction) -> tuple[tuple[int, ...], tuple[tup
         for s in range(n):
             if A.table[g][s] == s:
                 raise NotFree(f"element {g} fixes point {s}")
-    seen = [False] * n
-    bases: list[int] = []
-    tables: list[tuple[int, ...]] = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        bases.append(s)
-        reach = tuple(A.table[g][s] for g in range(G.order))
-        if len(set(reach)) != G.order:
-            raise NotFree(f"orbit of point {s} is not regular")
-        for p in reach:
-            seen[p] = True
-        tables.append(reach)
-    return tuple(bases), tuple(tables)
+    blocks = orbits(A)
+    for block in blocks:
+        if len(block) != G.order:
+            raise NotFree(f"orbit of point {block[0]} is not regular")
+    bases = tuple(block[0] for block in blocks)
+    return bases, tuple(tuple(row[s] for row in A.table) for s in bases)
 
 
 def free_to_product(A: GroupAction) -> tuple[int, tuple[tuple[int, int], ...]]:

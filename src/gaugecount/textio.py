@@ -4,11 +4,12 @@ A group, action, rep, endomorphism or lattice file is a header line
 `keyword n1 ... nk` of integers followed by records, one per nonblank line.
 Blank lines are skipped anywhere, and every ParseError raised here or by a
 reader built on these helpers carries the 1-based line of the file itself.
+`write_records` is the one writer of that grammar.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import ParseError
 
@@ -27,6 +28,13 @@ def read_records(text: str, keyword: str,
     if len(tokens) != 1 + n_fields or tokens[0] != keyword:
         raise ParseError(f"expected '{keyword}' and {n_fields} integer(s)", line)
     return line, read_ints(tokens[1:], line, "header field"), records[1:]
+
+
+def write_records(keyword: str, fields: Sequence[int],
+                  records: Iterable[Sequence[object]]) -> str:
+    """The header `keyword n1 ... nk`, then each record's tokens joined by
+    single spaces, one record per line, and a final newline."""
+    return "\n".join(" ".join(map(str, r)) for r in ((keyword, *fields), *records)) + "\n"
 
 
 def read_ints(tokens: Sequence[str], line: int, what: str,

@@ -1,5 +1,7 @@
 """Command-line interface: configs, formats, exit codes, file inputs."""
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -341,6 +343,20 @@ def test_count_reports_match_recorded_bytes(tmp_path, capsysbinary, name, args, 
         assert capsysbinary.readouterr().out == f.read()
 
 
+def test_per_site_actions_are_built_once_per_spec(tmp_path):
+    S3 = symmetric_group(3)
+    act = tmp_path / "act.txt"
+    act.write_text(action_to_text(action_trivial(S3, 2)))
+    file_spec = {"file": str(act)}
+    matter = cli.build_matter(
+        {"kind": "scalar_per_site",
+         "actions": ["left_mult", file_spec, "left_mult", dict(file_spec)]},
+        S3, cli.build_lattice({"dims": [4]})[0])
+    a = matter.actions
+    assert a[0] is a[2] and a[1] is a[3] and a[0] is not a[1]
+    assert a[1].table == action_trivial(S3, 2).table
+
+
 def test_matter_config_variants(tmp_path, capsys):
     scalar = write_config(tmp_path, {
         "group": {"family": "dihedral", "params": [4]},
@@ -469,6 +485,66 @@ def test_group_info_text_and_errors(capsys):
     assert "order: 6" in out and "abelian: True" in out
     assert main(["group-info"]) == 2
     assert main(["group-info", "--family", "cyclic"]) == 2  # missing param
+
+
+# group-info on 2T as CSV and as text, byte for byte: no benchmark job reads
+# these two formats
+GROUP_INFO_2T = {
+    "csv": (
+        "command,name,order,abelian,exponent,center_order,class_count,class_sizes,"
+        "class_representatives,centralizer_sizes,ambivalent,quasi_ambivalent,"
+        "charge_conjugation_witness,charge_conjugation_count,aut_order,inner_order,"
+        "outer_order,enumeration_complete\n"
+        'group-info,2T,24,False,12,2,7,"[1, 4, 6, 4, 4, 1, 4]","[0, 1, 2, 3, 4, 6, 14]",'
+        '"[24, 6, 4, 6, 6, 24, 6]",False,yes,"[0, 14, 12, 9, 7, 10, 6, 4, 11, 3, 5, 8, '
+        '2, 22, 1, 21, 20, 19, 23, 17, 16, 15, 13, 18]",6,24,12,2,True\n'),
+    "text": (
+        "command: group-info\nname: 2T\norder: 24\nabelian: False\nexponent: 12\n"
+        "center_order: 2\nclass_count: 7\nclass_sizes: [1, 4, 6, 4, 4, 1, 4]\n"
+        "class_representatives: [0, 1, 2, 3, 4, 6, 14]\n"
+        "centralizer_sizes: [24, 6, 4, 6, 6, 24, 6]\nambivalent: False\n"
+        "quasi_ambivalent: yes\ncharge_conjugation_witness: [0, 14, 12, 9, 7, 10, 6, 4, "
+        "11, 3, 5, 8, 2, 22, 1, 21, 20, 19, 23, 17, 16, 15, 13, 18]\n"
+        "charge_conjugation_count: 6\naut_order: 24\ninner_order: 12\nouter_order: 2\n"
+        "enumeration_complete: True\n"),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(GROUP_INFO_2T))
+def test_group_info_csv_and_text_bytes(capsysbinary, fmt):
+    assert main(["group-info", "--family", "binary_tetrahedral", "--format", fmt]) == 0
+    assert capsysbinary.readouterr().out == GROUP_INFO_2T[fmt].encode()
+
+
+def test_count_views_agree_with_the_json_payload(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "group": {"family": "symmetric", "params": [3]},
+        "lattice": {"dims": [3], "periodic": True},
+        "matter": {"kind": "scalar_per_site",
+                   "actions": ["left_mult", "coset_first_subgroup", "left_mult"]},
+        "twist": {"endo": "identity", "wrap_dim": 0},
+        "dangling_attach": [0, 2]})
+    out = {}
+    for fmt in ("json", "csv", "text"):
+        assert main(["count", "--config", cfg, "--format", fmt, "--no-timestamp"]) == 0
+        out[fmt] = capsys.readouterr().out
+    payload = json.loads(out["json"])
+    (row,) = csv.DictReader(io.StringIO(out["csv"]))
+    text = dict(line.split(": ", 1) for line in out["text"].splitlines()
+                if not line.startswith("bulk sites"))
+    lat = payload["lattice"]
+    assert row == {"command": "count", "group": "S3", "order": "6",
+                   "lattice": lat["name"], "sites": str(lat["sites"]),
+                   "links": str(lat["links"]), "matter": payload["matter"],
+                   "twist_kind": payload["twist_kind"],
+                   "total": payload["result"]["total"]}
+    assert text["group"] == "S3 (order 6)"
+    assert text["lattice"] == f"{lat['name']} sites={lat['sites']} links={lat['links']}"
+    assert text["matter"] == payload["matter"] == "scalar_per_site[6,3,6]"
+    assert text["twist"] == payload["twist_kind"]
+    assert text["total"] == payload["result"]["total"]
+    assert text["total hilbert dim"] == payload["result"]["total_hilbert_dim"]
+    assert text["warning"] == payload["result"]["warnings"][0]
 
 
 @pytest.mark.xfail(strict=True,

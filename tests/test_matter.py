@@ -17,6 +17,8 @@ from gaugecount import (
     OneDimRep,
     ParseError,
     PureGauge,
+    ScalarMatter,
+    ScalarMatterPerSite,
     SnapFailure,
     UnitaryRep,
     action_coset,
@@ -44,6 +46,7 @@ from gaugecount import (
     group_from_table,
     group_from_text,
     group_to_text,
+    lattice_chain,
     lattice_hypercubic,
     one_dim_class_values,
     one_dim_from_values,
@@ -133,6 +136,24 @@ def test_validate_action_flags_violations():
     assert kind == "compatibility"
     bad = GroupAction(G, 3, A.table[:2])
     assert validate_action(bad) == ("shape", ())
+
+
+def test_scalar_matter_checks_its_actions():
+    # a table that is no action: row 1 is not a bijection, so (1, 1) breaks
+    # compatibility at point 0.  The engine and the oracle agree on a count
+    # of it (13), so only the spec's own check can refuse it.
+    Z3 = cyclic_group(3)
+    bad = GroupAction(Z3, 3, ((0, 1, 2), (1, 1, 2), (2, 0, 1)))
+    with pytest.raises(NotAHomomorphism, match=r"compatibility violated at \(1, 1, 0\)"):
+        ScalarMatter(bad)
+    good = action_left_mult(Z3)
+    with pytest.raises(NotAHomomorphism, match="compatibility"):
+        ScalarMatterPerSite((good, bad))
+    with pytest.raises(NotAHomomorphism, match="shape"):
+        ScalarMatter(GroupAction(Z3, 3, good.table[:2]))
+    m = ScalarMatterPerSite((good, good))
+    L = lattice_chain(2, periodic=True)
+    assert count(Z3, L, m).total == oracle_count(Z3, L, m)
 
 
 def test_fixed_point_character_values():

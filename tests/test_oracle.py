@@ -15,6 +15,7 @@ from gaugecount import (
     NonIntegralResult,
     NotFree,
     NotTransitive,
+    OddSitesForStaggered,
     PureGauge,
     ScalarMatter,
     ScalarMatterPerSite,
@@ -227,6 +228,16 @@ def test_oracle_rejects_unknown_matter_and_combines_boundaries():
     tw = twist_on_wrap_edges(L, inversion_endo(Z4), 0)
     both = oracle_count(Z4, L, PureGauge(), twist=tw, dangling_attach=[0])
     assert both == count(Z4, L, PureGauge(), twist=tw, dangling_attach=[0]).total
+
+
+def test_staggered_vacuum_on_odd_sites_is_one_refusal():
+    Q8 = quaternion_group()
+    m = FermionMatter((su2_fundamental_rep(Q8),), vacuum="staggered")
+    L = lattice_chain(3)
+    with pytest.raises(OddSitesForStaggered):
+        count(Q8, L, m)
+    with pytest.raises(OddSitesForStaggered):
+        oracle_count(Q8, L, m)
 
 
 def test_transitive_to_coset_left_mult():

@@ -1,4 +1,5 @@
-"""The shared line grammar of the five text formats: blank lines and line numbers."""
+"""The shared line grammar of the five text formats: the one writer, blank
+lines and line numbers."""
 
 import pytest
 
@@ -24,6 +25,7 @@ from gaugecount import (
     su2_fundamental_rep,
     symmetric_group,
 )
+from gaugecount.textio import read_records, write_records
 
 Z3 = cyclic_group(3)
 
@@ -72,3 +74,13 @@ def test_writers_read_back_through_blank_lines():
     L = lattice_hypercubic((2, 3), periodic=True)
     back_L, marked = parse_edge_list(_spread(emit_edge_list(L, frozenset({1, 4}))))
     assert back_L.edges == L.edges and marked == frozenset({1, 4})
+
+
+def test_write_records_is_header_records_and_one_final_newline():
+    assert write_records("action", (3, 2), [(0, 1), (1, 0), ["x", 2.5]]) == \
+        "action 3 2\n0 1\n1 0\nx 2.5\n"
+    assert write_records("lattice", (0,), []) == "lattice 0\n"
+    assert write_records("endo", (2,), iter([(0, 1)])) == "endo 2\n0 1\n"
+    text = write_records("order", (1,), [(0,), ("labels",), ("e",)])
+    head, fields, records = read_records(text, "order", 1)
+    assert (head, fields, records) == (1, [1], [(2, "0"), (3, "labels"), (4, "e")])
