@@ -65,6 +65,7 @@ from .matter import (
     dihedral_rotation_rep,
     one_dim_to_rep,
     rep_from_text,
+    site_characters,
     su2_fundamental_rep,
     total_hilbert_dim,
     trivial_rep,
@@ -377,8 +378,10 @@ def cmd_count(args) -> int:
     cfg = _load_config(args.config)
     G, L, matter, twist, attach = _resolve_job(cfg)
     classes = conjugacy_classes(G)
-    rep = count(G, L, matter, twist=twist, dangling_attach=attach, classes=classes)
-    tot = total_hilbert_dim(G, L, matter, classes)
+    chars = site_characters(matter, classes, L.site_count)
+    rep = count(G, L, matter, twist=twist, dangling_attach=attach, classes=classes,
+                site_chars=chars)
+    tot = total_hilbert_dim(G, L, matter, classes, site_chars=chars)
     output = cfg.get("output", {})
     payload = report_payload(rep, G, matter, tot, not args.no_timestamp)
     _write_out(render(args.format or output.get("format", "text"), payload,

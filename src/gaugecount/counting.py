@@ -24,7 +24,9 @@ component of the lowest-numbered constrained site, whose classes give the
 per-class breakdown.
 The cost follows distinct characters and nonzero entries, not sites or class
 tuples: sites with equal character values share one power, and elimination
-joins only the nonzero entries of the tables it sums out.
+joins only the nonzero entries of the tables it sums out.  Per site and link
+the work is one union-find pass over the untwisted links and a few passes
+over the component labels it returns.
 
 The result must come out a nonnegative integer; anything else raises
 NonIntegralResult with the failed witness attached.  The site characters
@@ -34,7 +36,7 @@ come from `matter.site_characters`; this module holds the contraction,
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -43,7 +45,7 @@ from .autos import class_image
 from .cyclo import Cyclotomic
 from .errors import BadParams, GroupMismatch, NonIntegralResult
 from .groups import ConjugacyClassTable, FiniteGroup, conjugacy_classes, same_group
-from .lattice import LatticeGraph, TwistSpec, connected_components, dangling_boundary_extension
+from .lattice import LatticeGraph, TwistSpec, component_labels, dangling_boundary_extension
 from .matter import (
     ClassFunction,
     FermionMatter,
@@ -110,9 +112,14 @@ def count_general(G: FiniteGroup,
         chars = list(site_chars)
         if len(chars) != V:
             raise BadParams(f"{len(chars)} site characters for {V} sites")
-    for ch in chars:
+    # sites grouped by character value, not object, so each distinct value is
+    # raised once; same maps each object's id to the first equal character
+    by_value: dict[tuple, ClassFunction] = {}
+    same: dict[int, ClassFunction] = {}
+    for key, ch in dict(zip(map(id, chars), chars)).items():
         if not same_group(ch.group, G):
             raise GroupMismatch("site character lives over a different group")
+        same[key] = by_value.setdefault(tuple((v.order, v.num, v.den) for v in ch.values), ch)
 
     # the twist as data: each distinct map, interned by its image, is read once
     # as a class map; identity maps leave their links untwisted
@@ -138,44 +145,37 @@ def count_general(G: FiniteGroup,
     # the identity class, as only the identity lies in that class
     constant = [set(cmap) == {classes.class_of[G.identity]} for cmap in cmaps]
     proper = tuple(m for m, c in enumerate(constant) if not c)
-    for i in map_of:
+
+    n_cls, sizes = classes.n_classes, classes.sizes
+    untwisted = [e for i, e in enumerate(L.edges) if i not in map_of] if map_of else L.edges
+    labels, roots = component_labels(V, untwisted)
+    multiplicity = [defaultdict(int) for _ in roots]  # id of first equal character -> sites
+    for (k, key), m in Counter(zip(labels, map(id, chars))).items():
+        multiplicity[k][id(same[key])] += m
+    sites = [sum(mult.values()) for mult in multiplicity]
+    out_links = Counter([labels[t] for t, _ in L.edges])  # links out of each component
+    into: dict[int, set[tuple[int, int]]] = {}  # head site -> (map, tail component)
+    for i, m in map_of.items():
         t, h = L.edges[i]
         if t == h:
             warnings.append(f"twisted link {i} is a self-loop")
-
-    n_cls, sizes = classes.n_classes, classes.sizes
-    untwisted = [e for i, e in enumerate(L.edges) if i not in map_of]
-    comps = connected_components(V, untwisted)
-    comp_of = [0] * V
-    for k, members in enumerate(comps):
-        for x in members:
-            comp_of[x] = k
-    linked = [False] * V  # has an untwisted link or is the tail of a twisted one
-    for t, h in untwisted:
-        linked[t] = linked[h] = True
-    out_links = [0] * len(comps)
-    into: dict[int, set[tuple[int, int]]] = {}  # head site -> (map, tail component)
-    for i, (t, h) in enumerate(L.edges):
-        out_links[comp_of[t]] += 1
-        if i in map_of:
-            linked[t] = True
-            into.setdefault(h, set()).add((map_of[i], comp_of[t]))
-    # free: no untwisted link, tail of no twisted link, only constant maps in
-    free = [x for x in range(V)
-            if not linked[x] and all(constant[m] for m, _ in into.get(x, ()))]
+        into.setdefault(h, set()).add((m, labels[t]))
+    # free: no untwisted link, tail of no twisted link, only constant maps in;
+    # such a site is a component with no links out, and its own root
+    free = [x for k, x in enumerate(roots)
+            if not out_links[k] and all(constant[m] for m, _ in into.get(x, ()))]
     free_set = set(free)
-    bulk = [x for x in range(V) if x not in free_set]
 
     # rational weight per component and class: (|G|/|C|)^(links out - sites),
     # times every factor that involves this component alone
-    weight = [[Fraction(G.order, sizes[c]) ** (out_links[k] - len(comps[k]))
-               for c in range(n_cls)] for k in range(len(comps))]
+    weight = [[Fraction(G.order, sizes[c]) ** (out_links[k] - sites[k])
+               for c in range(n_cls)] for k in range(len(roots))]
     # one 0/1 factor per twisted head, over its component (none for a free
     # head, whose constant maps ignore its class) and its tails' components:
     # head class C admits exactly the tail class cmaps[m][C] under map m;
     # equal factors are kept once, in first-seen order
     factors: list[tuple[tuple[int, ...], dict]] = []
-    for head, pairs in dict.fromkeys((None if x in free_set else comp_of[x], frozenset(pairs))
+    for head, pairs in dict.fromkeys((None if x in free_set else labels[x], frozenset(pairs))
                                      for x, pairs in into.items()):
         scope = tuple(sorted({k for _, k in pairs} | ({head} if head is not None else set())))
         table = {}
@@ -189,12 +189,6 @@ def count_general(G: FiniteGroup,
             factors.append((scope, table))
 
     zero = Cyclotomic.zero()
-    # sites grouped by character value, not object, so each distinct value is
-    # raised once; same maps each object's id to the first equal character
-    by_value: dict[tuple, ClassFunction] = {}
-    same = {id(ch): by_value.setdefault(tuple((v.order, v.num, v.den) for v in ch.values), ch)
-            for ch in {id(ch): ch for ch in chars}.values()}
-    multiplicity = [Counter(id(same[id(chars[x])]) for x in members) for members in comps]
 
     def potential(k: int, c: int) -> Cyclotomic:
         if weight[k][c] == 0:
@@ -205,8 +199,8 @@ def count_general(G: FiniteGroup,
         return term
 
     # sum out every constrained component but the root, fewest neighbours first
-    root = comp_of[bulk[0]] if bulk else None
-    rest = {comp_of[x] for x in bulk} - {root}
+    root = next((labels[x] for x in range(V) if x not in free_set), None)
+    rest = set(range(len(roots))) - {labels[x] for x in free} - {root}
     nbrs: dict[int, set[int]] = {}  # component -> itself and its factor neighbours
     for s, _ in factors:
         for v in s:
@@ -277,7 +271,7 @@ def count_general(G: FiniteGroup,
         lattice_name=L.name,
         site_count=V,
         edge_count=E,
-        bulk_site_count=len(bulk),
+        bulk_site_count=V - len(free),
         free_sites=tuple(free),
         twist_kind="proper" if proper else "sink" if cmaps else "none",
         twisted_head_count=sum(any(not constant[m] for m, _ in pairs)
@@ -323,14 +317,16 @@ def count(G: FiniteGroup, L: LatticeGraph, matter: MatterSpec,
           twist: Optional[TwistSpec] = None,
           dangling_attach: Optional[Sequence[int]] = None,
           classes: Optional[ConjugacyClassTable] = None,
-          parity_sign: int = 1) -> CountReport:
+          parity_sign: int = 1,
+          site_chars: Optional[Sequence[ClassFunction]] = None) -> CountReport:
     """Count for any matter specification.
 
     dangling_attach extends the lattice by one unconstrained virtual site fed
     by sink links (links under the constant map) from the listed sites; they
     join the maps of `twist`, whose link indices refer to L.  Matter always
     lives on the physical sites only.  parity_sign=-1 weights fermion modes
-    by parity, giving a signed trace.
+    by parity, giving a signed trace.  site_chars: the physical sites'
+    `site_characters`, when already built.
     """
     if parity_sign not in (1, -1):
         raise BadParams(f"parity_sign must be +1 or -1, got {parity_sign}")
@@ -338,7 +334,8 @@ def count(G: FiniteGroup, L: LatticeGraph, matter: MatterSpec,
     n_phys = L.site_count
     if dangling_attach is not None:
         L, twist = dangling_boundary_extension(L, tuple(dangling_attach), G, twist)
-    chars = site_characters(matter, cls, n_phys, sign=parity_sign)
+    chars = list(site_characters(matter, cls, n_phys, sign=parity_sign)
+                 if site_chars is None else site_chars)
     chars += [constant_class_function(cls, 1)] * (L.site_count - n_phys)
     return count_general(G, cls, L, chars, twist=twist,
                          require_nonnegative=(parity_sign == 1))

@@ -8,7 +8,9 @@ endomorphism on twisted links.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import groupby, repeat
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .autos import GroupEndomorphism, constant_identity_endo, is_endomorphism
@@ -32,8 +34,10 @@ class LatticeGraph:
     def __post_init__(self):
         if self.site_count < 0:
             raise BadParams(f"negative site count {self.site_count}")
-        for i, (t, h) in enumerate(self.edges):
-            if not (0 <= t < self.site_count and 0 <= h < self.site_count):
+        n = self.site_count
+        for t, h in self.edges:
+            if not (0 <= t < n and 0 <= h < n):
+                i = list(map(tuple, self.edges)).index((t, h))
                 raise BadParams(f"link {i} endpoint out of range: ({t}, {h})")
 
     @property
@@ -62,55 +66,62 @@ def lattice_hypercubic(dims: Sequence[int],
     periodic = tuple(periodic)
     if len(periodic) != d:
         raise BadDims(f"{len(periodic)} periodicity flags for {d} dimensions")
-    volume = 1
-    for L in dims:
-        volume *= L
-    strides = [1] * d
-    for k in range(d - 2, -1, -1):
-        strides[k] = strides[k + 1] * dims[k + 1]
+    volume = math.prod(dims)
+    strides = [math.prod(dims[k + 1:]) for k in range(d)]
+    # slot x*d + k: site x's link along dimension k (None past an open end);
+    # per block of s*n sites, all but the last s step s forward, those wrap
+    slots: list = [None] * (d * volume)
+    for k, (s, n) in enumerate(zip(strides, dims)):
+        column: list = []
+        for b in range(0, volume, s * n):
+            last, top = b + s * (n - 1), b + s * n
+            column += zip(range(b, last), range(b + s, top))
+            column += zip(range(last, top), range(b, b + s)) if periodic[k] else repeat(None, s)
+        slots[k::d] = column
 
-    edges: list[Edge] = []
-    wraps: list[list[int]] = [[] for _ in range(d)]
-    for site in range(volume):
-        rem = site
-        coord = []
-        for k in range(d):
-            coord.append(rem // strides[k])
-            rem %= strides[k]
-        for k in range(d):
-            if coord[k] + 1 < dims[k]:
-                edges.append((site, site + strides[k]))
-            elif periodic[k]:
-                wraps[k].append(len(edges))
-                edges.append((site, site - coord[k] * strides[k]))
+    def link_index(x: int, k: int) -> int:
+        # slot x*d + k less the None slots before it: per open dimension j,
+        # the sites below y on j's last layer, y counting x itself when j < k
+        return x * d + k - sum(y // (s * n) * s + max(0, y % (s * n) - s * (n - 1))
+                               for j, (s, n) in enumerate(zip(strides, dims))
+                               if not periodic[j] for y in (x + (j < k),))
+    wraps = tuple(tuple(link_index(x, k) for b in range(s * (n - 1), volume, s * n)
+                        for x in range(b, b + s)) if periodic[k] else ()
+                  for k, (s, n) in enumerate(zip(strides, dims)))
     name = "x".join(map(str, dims))
     tags = "".join("p" if p else "o" for p in periodic)
-    return LatticeGraph(volume, tuple(edges), name=f"hyper{name}_{tags}",
-                        wrap_edges=tuple(tuple(w) for w in wraps))
+    return LatticeGraph(volume, tuple(filter(None, slots)), name=f"hyper{name}_{tags}",
+                        wrap_edges=wraps)
+
+
+def component_labels(site_count: int, edges: Iterable[Edge]) -> tuple[list[int], list[int]]:
+    """Union-find over the undirected links: each site's component, numbered
+    in increasing root order, and each component's root."""
+    parent = list(range(site_count))
+    for t, h in edges:
+        t, h = parent[t], parent[h]  # one step up, then path halving to the roots
+        while parent[t] != t:
+            parent[t] = t = parent[parent[t]]
+        while parent[h] != h:
+            parent[h] = h = parent[parent[h]]
+        parent[h] = t
+    # pointer jumping until every site points at its root
+    while (up := list(map(parent.__getitem__, parent))) != parent:
+        parent = up
+    number = {r: k for k, r in enumerate(sorted(set(parent)))}  # root -> component
+    return list(map(number.__getitem__, parent)), list(number)
 
 
 def connected_components(site_count: int, edges: Iterable[Edge]) -> tuple[tuple[int, ...], ...]:
-    """Components of the underlying undirected graph, each sorted."""
-    parent = list(range(site_count))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for t, h in edges:
-        rt, rh = find(t), find(h)
-        if rt != rh:
-            parent[rh] = rt
-    buckets: dict[int, list[int]] = {}
-    for s in range(site_count):
-        buckets.setdefault(find(s), []).append(s)
-    return tuple(tuple(sorted(v)) for _, v in sorted(buckets.items()))
+    """Components of the underlying undirected graph, each sorted, in the
+    order of their union-find roots."""
+    label = component_labels(site_count, edges)[0].__getitem__
+    by_label = sorted(range(site_count), key=label)  # stable: each component in order
+    return tuple(tuple(g) for _, g in groupby(by_label, key=label))
 
 
 def is_connected(L: LatticeGraph) -> bool:
-    return L.site_count <= 1 or len(connected_components(L.site_count, L.edges)) == 1
+    return len(component_labels(L.site_count, L.edges)[1]) <= 1
 
 
 # ---------------------------------------------------------------------------

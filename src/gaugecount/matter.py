@@ -607,11 +607,12 @@ class PureGauge:
 
 
 def _check_actions(actions: Sequence[GroupAction]) -> None:
-    """validate_action on each distinct action object (NotAHomomorphism)."""
-    for A in {id(A): A for A in actions}.values():
+    """validate_action on each distinct unvalidated action (NotAHomomorphism)."""
+    for A in {id(A): A for A in actions if not getattr(A, "_validated", False)}.values():
         bad = validate_action(A)
         if bad is not None:
             raise NotAHomomorphism(f"not a group action: {bad[0]} violated at {bad[1]}")
+        object.__setattr__(A, "_validated", True)  # never checked again
 
 
 @dataclass(frozen=True)
@@ -710,15 +711,16 @@ def site_characters(matter: MatterSpec, classes: ConjugacyClassTable,
 
 
 def total_hilbert_dim(G: FiniteGroup, L: LatticeGraph, matter: MatterSpec,
-                      classes: Optional[ConjugacyClassTable] = None) -> int:
+                      classes: Optional[ConjugacyClassTable] = None,
+                      site_chars: Optional[Sequence[ClassFunction]] = None) -> int:
     """Dimension of the full unconstrained space: |G| per link times each
     site's dimension, its character at the identity class.  The site
-    characters are the ones `count` builds, so both validate alike."""
+    characters (site_chars, if built) are `count`'s, so both validate alike."""
     classes = classes or conjugacy_classes(G)
     if not same_group(G, classes.group):
         raise GroupMismatch("group and class table disagree")
-    dims = collections.Counter(ch.values[0].integer_value()
-                               for ch in site_characters(matter, classes, L.site_count))
+    chars = site_characters(matter, classes, L.site_count) if site_chars is None else site_chars
+    dims = collections.Counter(ch.values[0].integer_value() for ch in chars)
     dim = G.order ** L.edge_count
     for d, m in dims.items():
         dim *= d ** m
@@ -750,6 +752,7 @@ def action_from_text(text: str, G: FiniteGroup) -> GroupAction:
     bad = validate_action(A)
     if bad is not None:
         raise ParseError(f"not a group action: {bad[0]} violated at {bad[1]}", head)
+    object.__setattr__(A, "_validated", True)  # the matter spec skips the check
     return A
 
 

@@ -11,6 +11,7 @@ import pytest
 
 from gaugecount import (
     NonIntegralResult,
+    action_left_mult,
     action_to_text,
     action_trivial,
     cyclic_group,
@@ -23,7 +24,7 @@ from gaugecount import (
     rep_to_text,
     symmetric_group,
 )
-from gaugecount import cli
+from gaugecount import cli, counting, matter
 from gaugecount.cli import main
 
 
@@ -451,6 +452,43 @@ def test_file_based_specs(tmp_path, capsys):
     }, "filerep.json")
     assert main(["count", "--config", cfg]) == 0
     assert "total: 20" in capsys.readouterr().out
+
+
+def _count_calls(monkeypatch, name, modules):
+    """Wrap `name` in every module that binds it; returns the call counter."""
+    calls = []
+    original = getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_count_builds_site_characters_once(tmp_path, capsys, monkeypatch):
+    calls = _count_calls(monkeypatch, "site_characters", (matter, counting, cli))
+    cfg = write_config(tmp_path, dict(STAGGERED_JOB, dangling_attach=[0]))
+    assert main(["count", "--config", cfg]) == 0
+    assert "total hilbert dim: 1024" in capsys.readouterr().out
+    assert len(calls) == 1
+
+
+def test_file_action_is_validated_once(tmp_path, capsys, monkeypatch):
+    S3 = symmetric_group(3)
+    action_file = tmp_path / "s3.action"
+    action_file.write_text(action_to_text(action_left_mult(S3)))
+    job = {"group": {"family": "symmetric", "params": [3]},
+           "lattice": {"dims": [2], "periodic": True},
+           "matter": {"kind": "scalar", "action": {"file": str(action_file)}}}
+    calls = _count_calls(monkeypatch, "validate_action", (matter,))
+    assert main(["count", "--config", write_config(tmp_path, job)]) == 0
+    assert len(calls) == 1
+    # a table that is no action still fails in the reader, with its file's line
+    action_file.write_text(action_to_text(action_left_mult(S3)).replace("0 1 2", "1 0 2", 1))
+    assert main(["count", "--config", write_config(tmp_path, job)]) == 2
+    assert "ParseError" in capsys.readouterr().err
 
 
 def test_group_info_payload(capsys):

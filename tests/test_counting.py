@@ -474,6 +474,23 @@ def test_zn_closed_forms_match_engine():
                     == count_zn_closed_form(N, charges, L, boundary="cperiodic"))
 
 
+def test_ladder_scale_totals_match_closed_forms():
+    # 64x64 lattices: an inversion twist on the dimension-0 wraps, and an
+    # open lattice whose row 0 hangs from the dangling site
+    Z6 = cyclic_group(6)
+    torus = lattice_hypercubic((64, 64))
+    ctw = twist_on_wrap_edges(torus, inversion_endo(Z6), 0)
+    zeros = [0] * torus.site_count
+    assert (count(Z6, torus, PureGauge(), twist=ctw).total
+            == count_zn_closed_form(6, zeros, torus, boundary="cperiodic"))
+    Z4 = cyclic_group(4)
+    plane = lattice_hypercubic((64, 64), periodic=False)
+    row0 = tuple(range(64))
+    ext, _ = dangling_boundary_extension(plane, row0, Z4)
+    assert (count(Z4, plane, PureGauge(), dangling_attach=row0).total
+            == count_zn_closed_form(4, zeros, ext, boundary="dangling"))
+
+
 def test_zn_closed_form_parameter_errors():
     L = lattice_chain(3, periodic=True)
     with pytest.raises(BadParams):

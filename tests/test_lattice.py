@@ -1,5 +1,8 @@
 """Lattice graphs, hypercubic generators, twists, dangling boundaries."""
 
+import itertools
+import random
+from collections import deque
 from types import SimpleNamespace
 
 import pytest
@@ -26,6 +29,7 @@ from gaugecount import (
     parse_edge_list,
     twist_on_wrap_edges,
 )
+from gaugecount.lattice import component_labels
 
 
 def test_lattice_chain():
@@ -79,6 +83,84 @@ def test_connected_components():
     assert not is_connected(LatticeGraph(3, ((0, 1),)))
     assert is_connected(LatticeGraph(1, ()))
     assert is_connected(LatticeGraph(0, ()))
+
+
+def _hypercubic_reference(dims, periodic):
+    """Links site by site from each site's coordinates, as the spec reads."""
+    d, volume = len(dims), 1
+    for n in dims:
+        volume *= n
+    strides = [1] * d
+    for k in range(d - 2, -1, -1):
+        strides[k] = strides[k + 1] * dims[k + 1]
+    edges, wraps = [], [[] for _ in dims]
+    for site in range(volume):
+        coord = [site // strides[k] % dims[k] for k in range(d)]
+        for k in range(d):
+            if coord[k] + 1 < dims[k]:
+                edges.append((site, site + strides[k]))
+            elif periodic[k]:
+                wraps[k].append(len(edges))
+                edges.append((site, site - coord[k] * strides[k]))
+    tags = "".join("p" if p else "o" for p in periodic)
+    name = f"hyper{'x'.join(map(str, dims))}_{tags}"
+    return tuple(edges), tuple(map(tuple, wraps)), name
+
+
+def test_hypercubic_matches_per_site_reference():
+    for d in range(1, 5):
+        for dims in itertools.product((1, 2, 3, 5), repeat=d):
+            for periodic in itertools.product((False, True), repeat=d):
+                L = lattice_hypercubic(dims, periodic)
+                edges, wraps, name = _hypercubic_reference(dims, periodic)
+                assert (L.edges, L.wrap_edges, L.name) == (edges, wraps, name), (dims, periodic)
+
+
+def _components_reference(site_count, edges):
+    """Members by breadth-first search, ordered by the root that the union
+    rule (the head's root joins under the tail's) leaves each component."""
+    adj = [[] for _ in range(site_count)]
+    for t, h in edges:
+        adj[t].append(h)
+        adj[h].append(t)
+    parent = list(range(site_count))
+
+    def root(x):
+        return x if parent[x] == x else root(parent[x])
+
+    for t, h in edges:
+        parent[root(h)] = root(t)
+    seen, comps = set(), []
+    for s in range(site_count):
+        if s not in seen:
+            seen.add(s)
+            queue, members = deque([s]), []
+            while queue:
+                x = queue.popleft()
+                members.append(x)
+                for y in adj[x]:
+                    if y not in seen:
+                        seen.add(y)
+                        queue.append(y)
+            comps.append(tuple(sorted(members)))
+    return tuple(sorted(comps, key=lambda c: root(c[0])))
+
+
+def test_components_match_bfs_reference_on_random_multigraphs():
+    rng = random.Random(20261019)
+    for _ in range(400):
+        V = rng.choice((0, 1, 2, 5, 12, 40))
+        edges = []
+        for _ in range(rng.randint(0, 2 * V) if V else 0):
+            t = rng.randrange(V)
+            h = rng.choice((t, rng.randrange(V), min(t + 1, V - 1)))  # loops, chains
+            edges += [(t, h)] * rng.choice((1, 1, 2))  # parallel links
+        comps = connected_components(V, edges)
+        assert comps == _components_reference(V, edges)
+        labels, roots = component_labels(V, edges)
+        assert len(roots) == len(comps)
+        for k, members in enumerate(comps):
+            assert roots[k] in members and all(labels[x] == k for x in members)
 
 
 def test_make_twist_validation():
