@@ -36,9 +36,14 @@ class LatticeGraph:
             raise BadParams(f"negative site count {self.site_count}")
         n = self.site_count
         for t, h in self.edges:
-            if not (0 <= t < n and 0 <= h < n):
-                i = list(map(tuple, self.edges)).index((t, h))
-                raise BadParams(f"link {i} endpoint out of range: ({t}, {h})")
+            try:  # t | h < 0 iff an endpoint is; TypeError unless both are integers
+                if 0 <= t | h and t < n and h < n:
+                    continue
+                bad = "out of range"
+            except TypeError:
+                bad = "is not an integer"
+            i = list(map(tuple, self.edges)).index((t, h))
+            raise BadParams(f"link {i} endpoint {bad}: ({t}, {h})")
 
     @property
     def edge_count(self) -> int:

@@ -3,20 +3,19 @@ and the per-site characters of each matter kind.
 
 Character values are exact cyclotomic numbers.  Actions, one-dimensional
 reps and reps from generator images are checked exactly, over the group's
-generators, by `groups.law_break`.  Every representation also carries its
-matrices as tuples of complex numbers, validated to 1e-9 in plain complex
-arithmetic.  Every character of a representation is one fold over one
-spectrum.  The eigenvalues of rho(g) are k-th roots of unity for k the
-order of g, and their multiplicities are the inner products of the
-character restricted to <g> with the characters of that cyclic group, so
-they follow from the traces of the powers of rho(g) by one discrete
-Fourier transform per maximal cyclic subgroup; each multiplicity is
-snapped (tolerance 1e-6) to an integer.  The trace, the determinant and
-the Fock trace det(1 + sign * rho) are sums or products of the exact roots.
-`site_characters` turns each matter kind into one class function per
-site: 1 for pure gauge, fixed-point counts for scalars, and for fermions
-the Fock trace of every flavour, raised to the spinor count and dressed by
-the vacuum.
+generators, by `groups.law_break`.  One constructor takes exact and complex
+matrices alike, keeps every matrix also as a tuple of complex numbers and
+validates those to 1e-9 in plain complex arithmetic.  Every character of a
+representation is one fold over one spectrum: the eigenvalues of rho(g)
+are k-th roots of unity for k the order of g, and their multiplicities are
+the inner products of the character restricted to <g> with the characters
+of that cyclic group, read off the traces of the powers of rho(g) by one
+discrete Fourier transform per maximal cyclic subgroup and each snapped
+(tolerance 1e-6) to an integer.  The trace, the determinant and the Fock
+trace det(1 + sign * rho) fold the exact roots into a sum or a product.
+`site_characters` gives each site's class function: 1 for pure gauge,
+fixed-point counts for scalars, and for fermions every flavour's Fock
+trace, raised to the spinor count and dressed by the vacuum.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from .cyclo import Cyclotomic
 from .errors import (
@@ -78,8 +77,7 @@ class ClassFunction:
 
 
 def constant_class_function(classes: ConjugacyClassTable, value=1) -> ClassFunction:
-    v = value if isinstance(value, Cyclotomic) else Cyclotomic.rational(value)
-    return ClassFunction(classes.group, (v,) * classes.n_classes)
+    return ClassFunction(classes.group, (_as_cyclo(value),) * classes.n_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -212,18 +210,7 @@ def exact_matrix(rows: Sequence[Sequence]) -> ExactMatrix:
 
 
 def mat_mul_exact(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    n, m, p = len(a), len(b), len(b[0])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(p):
-            acc = Cyclotomic.zero()
-            for k in range(m):
-                if not a[i][k].is_zero() and not b[k][j].is_zero():
-                    acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+    return _mat_mul(a, b, Cyclotomic.zero())
 
 
 def mat_identity_exact(n: int) -> ExactMatrix:
@@ -235,13 +222,13 @@ def mat_to_complex(m: ExactMatrix) -> ComplexMatrix:
     return tuple(tuple(v.to_complex() for v in row) for row in m)
 
 
-def _mat_mul_complex(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
+def _mat_mul(a, b, zero):
     """a @ b, skipping zero entries of a: a permutation matrix costs d^2."""
     out = []
     for row in a:
-        acc = [0j] * len(b[0])
+        acc = [zero] * len(b[0])
         for x, brow in zip(row, b):
-            if x:
+            if x != zero:
                 acc = [s + x * y for s, y in zip(acc, brow)]
         out.append(tuple(acc))
     return tuple(out)
@@ -265,8 +252,9 @@ class UnitaryRep:
 
     `exact` carries cyclotomic entries when available; `numeric` always
     holds every matrix as a tuple of row tuples of complex numbers (for
-    exact reps, the entries' `to_complex`).  Characters of both kinds come
-    from `spectra`, exact roots of unity read off the numeric traces.
+    exact reps, the entries' `to_complex`).  One constructor validates both
+    kinds alike, and every character is one fold over `spectra`, exact
+    roots of unity read off the numeric traces.
     """
 
     group: FiniteGroup
@@ -291,30 +279,34 @@ class UnitaryRep:
 
 
 def rep_from_exact(G: FiniteGroup, matrices: Sequence[Sequence[Sequence]]) -> UnitaryRep:
-    if len(matrices) != G.order:
-        raise BadParams(f"{len(matrices)} matrices for group of order {G.order}")
-    mats = tuple(exact_matrix(m) for m in matrices)
-    dim = len(mats[0])
-    if any(len(m) != dim or any(len(r) != dim for r in m) for m in mats):
-        raise BadParams("matrices are not all square of equal dimension")
-    rep = UnitaryRep(G, dim, mats, tuple(mat_to_complex(m) for m in mats))
-    _validate_rep_numeric(rep)
-    return rep
+    return _rep(G, matrices, _as_cyclo)
 
 
 def rep_from_numeric(G: FiniteGroup,
                      matrices: Sequence[Sequence[Sequence[complex]]]) -> UnitaryRep:
     """A rep from complex matrices, each a sequence of rows of anything
     `complex()` accepts (array types included)."""
+    return _rep(G, matrices, complex)
+
+
+def _rep(G: FiniteGroup, matrices: Sequence[Sequence[Sequence]], entry) -> UnitaryRep:
+    """The validated rep of `matrices`, each entry converted by `entry`."""
     if len(matrices) != G.order:
         raise BadParams(f"{len(matrices)} matrices for group of order {G.order}")
-    numeric = tuple(tuple(tuple(complex(v) for v in row) for row in m) for m in matrices)
-    dim = len(numeric[0])
-    if any(len(m) != dim or any(len(r) != dim for r in m) for m in numeric):
+    mats = tuple(tuple(tuple(map(entry, row)) for row in m) for m in matrices)
+    dim = len(mats[0])
+    if any(len(m) != dim or any(len(r) != dim for r in m) for m in mats):
         raise BadParams("matrices are not all square of equal dimension")
-    rep = UnitaryRep(G, dim, None, numeric)
+    exact = None if entry is complex else mats
+    rep = UnitaryRep(G, dim, exact, mats if exact is None else tuple(map(mat_to_complex, mats)))
     _validate_rep_numeric(rep)
     return rep
+
+
+def _matrices(*reps: UnitaryRep):
+    """Each rep's matrices and their entry conversion: exact when every rep is."""
+    exact = all(rep.is_exact for rep in reps)
+    return [rep.exact if exact else rep.numeric for rep in reps], (_as_cyclo if exact else complex)
 
 
 def _validate_rep_numeric(rep: UnitaryRep) -> None:
@@ -324,12 +316,12 @@ def _validate_rep_numeric(rep: UnitaryRep) -> None:
         raise NotAHomomorphism("identity element is not mapped to the identity matrix")
     for g in range(G.order):
         U = rep.numeric[g]
-        if not _close(_mat_mul_complex(U, _adjoint(U)), eye):
+        if not _close(_mat_mul(U, _adjoint(U), 0j), eye):
             raise NotAHomomorphism(f"matrix for element {g} is not unitary")
     for g in G.generators:
         Ug = rep.numeric[g]
         for a in range(G.order):
-            if not _close(_mat_mul_complex(rep.numeric[a], Ug), rep.numeric[G.mul(a, g)]):
+            if not _close(_mat_mul(rep.numeric[a], Ug, 0j), rep.numeric[G.mul(a, g)]):
                 raise NotAHomomorphism(f"multiplicativity fails at ({a}, {g})")
 
 
@@ -410,19 +402,18 @@ def su2_fundamental_rep(G: FiniteGroup) -> UnitaryRep:
 def rep_direct_sum(a: UnitaryRep, b: UnitaryRep) -> UnitaryRep:
     if not same_group(a.group, b.group):
         raise GroupMismatch("representations live over different groups")
-    exact = a.is_exact and b.is_exact
-    zero = Cyclotomic.zero() if exact else 0j
+    (mas, mbs), entry = _matrices(a, b)
+    zero = entry(0)
     mats = [[row + (zero,) * b.dim for row in ma] + [(zero,) * a.dim + row for row in mb]
-            for ma, mb in (zip(a.exact, b.exact) if exact else zip(a.numeric, b.numeric))]
-    return (rep_from_exact if exact else rep_from_numeric)(a.group, mats)
+            for ma, mb in zip(mas, mbs)]
+    return _rep(a.group, mats, entry)
 
 
 def rep_restrict(rep: UnitaryRep, H: SubgroupHandle) -> tuple[UnitaryRep, FiniteGroup]:
     """Restrict to a subgroup, reindexed as its own group."""
     sub, embed = subgroup_as_group(rep.group, H)
-    if rep.is_exact:
-        return rep_from_exact(sub, [rep.exact[g] for g in embed]), sub
-    return rep_from_numeric(sub, [rep.numeric[g] for g in embed]), sub
+    (mats,), entry = _matrices(rep)
+    return _rep(sub, [mats[g] for g in embed], entry), sub
 
 
 # ---------------------------------------------------------------------------
@@ -535,37 +526,25 @@ def _spectrum(rep: UnitaryRep, g: int) -> list[Cyclotomic]:
     return [Cyclotomic.root_of_unity(k, e) for e in exponents]
 
 
-def _fold(rep: UnitaryRep, classes: Optional[ConjugacyClassTable], trace: bool = False,
-          sign: int = 0, inverse: bool = False) -> tuple[Cyclotomic, ...]:
-    """Fold the spectrum of rho at each class representative r (at every
-    element when classes is None), read at r^-1 when `inverse`: into the
-    trace when `trace`, else into the product of (1 + sign * lam), or of
-    lam itself when sign is 0."""
+def _fold(rep: UnitaryRep, classes: Optional[ConjugacyClassTable],
+          fold) -> tuple[Cyclotomic, ...]:
+    """fold(spectrum) of rho at each class representative (at every element
+    when classes is None)."""
     G = rep.group
     if classes is not None and not same_group(G, classes.group):
         raise GroupMismatch("representation and class table use different groups")
-    values = []
-    for r in (classes.reps if classes is not None else range(G.order)):
-        spectrum = _spectrum(rep, G.inv(r) if inverse else r)
-        if trace:
-            values.append(sum(spectrum, Cyclotomic.zero()))
-        else:
-            values.append(_product(1 + sign * lam for lam in spectrum) if sign
-                          else _product(spectrum))
-    return tuple(values)
+    return tuple(fold(_spectrum(rep, r))
+                 for r in (classes.reps if classes is not None else range(G.order)))
 
 
-def _product(values: Iterable[Cyclotomic]) -> Cyclotomic:
-    """1 * v1 * v2 * ..., multiplied left to right."""
-    total = Cyclotomic.one()
-    for v in values:
-        total = total * v
-    return total
+# 1 * v1 * v2 * ..., multiplied left to right
+_product = functools.partial(math.prod, start=Cyclotomic.one())
 
 
 def rep_character(rep: UnitaryRep, classes: ConjugacyClassTable) -> ClassFunction:
     """Per-class trace, exact (sums of the exact spectrum)."""
-    return ClassFunction(rep.group, _fold(rep, classes, trace=True))
+    return ClassFunction(rep.group, _fold(rep, classes,
+                                          lambda spectrum: sum(spectrum, Cyclotomic.zero())))
 
 
 def fermion_site_character(rep: UnitaryRep, classes: ConjugacyClassTable,
@@ -577,18 +556,22 @@ def fermion_site_character(rep: UnitaryRep, classes: ConjugacyClassTable,
     """
     if sign not in (1, -1):
         raise BadParams(f"sign must be +1 or -1, got {sign}")
-    return ClassFunction(rep.group, _fold(rep, classes, sign=sign))
+    return ClassFunction(rep.group, _fold(
+        rep, classes, lambda spectrum: _product(1 + sign * lam for lam in spectrum)))
 
 
 def det_character(rep: UnitaryRep, classes: ConjugacyClassTable,
                   inverse: bool = False) -> ClassFunction:
     """Per-class determinant of rho (or of rho at the inverse class)."""
-    return ClassFunction(rep.group, _fold(rep, classes, inverse=inverse))
+    values = _fold(rep, classes, _product)
+    if inverse:
+        values = tuple(values[c] for c in classes.inverse_class)
+    return ClassFunction(rep.group, values)
 
 
 def det_rep(rep: UnitaryRep) -> OneDimRep:
     """Determinant character, exact (products of the exact spectrum)."""
-    return OneDimRep(rep.group, _fold(rep, None))
+    return OneDimRep(rep.group, _fold(rep, None, _product))
 
 
 def one_dim_class_values(chi: OneDimRep, classes: ConjugacyClassTable) -> ClassFunction:

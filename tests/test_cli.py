@@ -693,6 +693,66 @@ def test_malformed_config_fields_exit_2(tmp_path, capsys, field):
     assert err.count("\n") == 1
 
 
+BASE_JOB = {"group": {"family": "cyclic", "params": [4]}, "lattice": {"dims": [2]}}
+
+
+@pytest.mark.parametrize("field, message", [
+    ({"lattice": {"periodic": True}}, "lattice spec needs 'dims' or 'file'"),
+    ({"group": {"family": "cyclic", "params": [3]},
+      "matter": {"kind": "fermion", "flavours": [{"builtin": "dihedral_rotation"}]}},
+     "dihedral rotation rep needs an even-order group"),
+    ({"matter": {"kind": "scalar", "action": "right_mult"}},
+     "unknown action spec 'right_mult'"),
+    ({"matter": {"kind": "scalar", "action": {"path": "a.txt"}}},
+     "unknown action spec {'path': 'a.txt'}"),
+    ({"matter": {"kind": "fermion", "flavours": []}},
+     "fermion matter needs a nonempty 'flavours' list"),
+    ({"twist": {"endo": "conjugation", "wrap_dim": 0}},
+     "unknown endomorphism spec 'conjugation'"),
+])
+def test_unbuildable_config_specs_exit_2(tmp_path, capsys, field, message):
+    cfg = dict(BASE_JOB, **field)
+    assert main(["count", "--config", write_config(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err == f"error: BadParams: {message}\n"
+
+
+def test_group_info_config_matches_family(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"group": {"family": "dihedral", "params": [4]}})
+    assert main(["group-info", "--config", cfg]) == 0
+    from_config = capsys.readouterr().out
+    assert main(["group-info", "--family", "dihedral", "--params", "4"]) == 0
+    assert from_config == capsys.readouterr().out
+
+
+def test_lattice_make_one_periodic_flag_covers_every_dimension(capsys):
+    assert main(["lattice-make", "--dims", "2", "3", "--periodic", "p"]) == 0
+    one_flag = capsys.readouterr().out
+    assert main(["lattice-make", "--dims", "2", "3"]) == 0
+    assert one_flag == capsys.readouterr().out
+
+
+def test_matter_kind_none_counts_as_no_matter(tmp_path, capsys):
+    outs = []
+    for extra in ({}, {"matter": {"kind": "none"}}):
+        cfg = write_config(tmp_path, dict(BASE_JOB, **extra))
+        assert main(["count", "--config", cfg, "--format", "json", "--no-timestamp"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["matter"] == "none"
+
+
+def test_constant_identity_twist_counts(tmp_path, capsys):
+    cfg = write_config(tmp_path, dict(
+        BASE_JOB, lattice={"dims": [3], "periodic": True},
+        twist={"endo": "constant_identity", "wrap_dim": 0}))
+    assert main(["count", "--config", cfg, "--format", "json", "--no-timestamp"]) == 0
+    total = json.loads(capsys.readouterr().out)["result"]["total"]
+    # the wraparound link becomes a sink, so Z4^3 acts freely on the three links
+    assert total == "1"
+    assert main(["verify", "--config", cfg]) == 0
+    assert capsys.readouterr().out == f"OK: formula={total} oracle={total}\n"
+
+
 def test_lattice_make_stdout(capsys):
     assert main(["lattice-make", "--dims", "2", "2"]) == 0
     L, marked = parse_edge_list(capsys.readouterr().out)

@@ -3,6 +3,7 @@
 import itertools
 import random
 from collections import deque
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -74,6 +75,15 @@ def test_lattice_graph_validation():
         LatticeGraph(2, ((0, 2),))
     with pytest.raises(BadParams):
         LatticeGraph(-1, ())
+
+
+@pytest.mark.parametrize("bad", [1.0, Fraction(1), "1", None])
+def test_lattice_graph_rejects_non_integer_endpoints(bad):
+    for edges, i in ((((0, 1), (bad, 2)), 1), (((0, 1), (1, 2), (2, bad)), 2)):
+        with pytest.raises(BadParams, match=rf"^link {i} endpoint is not an integer: "):
+            LatticeGraph(3, edges)
+    with pytest.raises(BadParams, match=r"^link 1 endpoint out of range: \(-1, 0\)$"):
+        LatticeGraph(3, ((0, 1), (-1, 0)))
 
 
 def test_connected_components():

@@ -274,6 +274,66 @@ def test_rep_from_exact_validation():
         rep_from_exact(G, [((1,),)])  # wrong count
 
 
+@pytest.mark.parametrize("build", [rep_from_exact, rep_from_numeric])
+def test_rep_constructors_refuse_wrong_counts_and_shapes(build):
+    Z2 = cyclic_group(2)
+    one = 1 if build is rep_from_exact else 1 + 0j
+    for n in (1, 3):
+        with pytest.raises(BadParams, match=rf"^{n} matrices for group of order 2$"):
+            build(Z2, [((one,),)] * n)
+    for mats in ([((one, 0), (0, one)), ((one,),)],  # unequal dimensions
+                 [((one, 0),), ((one, 0),)],  # one row of two entries
+                 [((one, 0), (0,)), ((one, 0), (0, one))]):  # a short row
+        with pytest.raises(BadParams, match="^matrices are not all square of equal dimension$"):
+            build(Z2, mats)
+
+
+def test_rep_from_generator_images_refuses_a_wrong_image_count():
+    G = dihedral_group(4)
+    rot = dihedral_rotation_rep(G, 4)
+    images = [rot.exact[g] for g in G.generators]
+    n = len(images)
+    for wrong in (images[:-1], images + images[:1]):
+        with pytest.raises(BadParams, match=rf"^{len(wrong)} images for {n} generators$"):
+            rep_from_generator_images(G, wrong)
+
+
+def test_rep_direct_sum_refuses_reps_of_different_groups():
+    a, b = su2_fundamental_rep(quaternion_group()), trivial_rep(cyclic_group(8), 2)
+    a_num, b_num = rep_from_numeric(a.group, a.numeric), rep_from_numeric(b.group, b.numeric)
+    for x, y in ((a, b), (a_num, b), (a, b_num), (a_num, b_num)):
+        with pytest.raises(GroupMismatch, match="^representations live over different groups$"):
+            rep_direct_sum(x, y)
+
+
+def _folds(rep, classes):
+    return (rep_character(rep, classes).values, det_character(rep, classes).values,
+            det_character(rep, classes, inverse=True).values,
+            fermion_site_character(rep, classes, 1).values,
+            fermion_site_character(rep, classes, -1).values)
+
+
+def test_complex_reps_sum_and_restrict_to_complex_reps_with_the_exact_characters():
+    T = binary_tetrahedral_group()
+    su2 = su2_fundamental_rep(T)
+    back = rep_from_text(rep_to_text(su2), T)
+    with pytest.raises(BadParams, match="^representation has no exact entries$"):
+        back.exact_matrix_of(T.identity)
+    cls = conjugacy_classes(T)
+    exact_sum = rep_direct_sum(su2, su2)
+    for s in (rep_direct_sum(back, su2), rep_direct_sum(su2, back), rep_direct_sum(back, back)):
+        assert not s.is_exact and s.dim == 4
+        assert _folds(s, cls) == _folds(exact_sum, cls)
+    H = first_proper_subgroup(T)
+    (sub_rep, sub), (exact_sub_rep, exact_sub) = rep_restrict(back, H), rep_restrict(su2, H)
+    assert not sub_rep.is_exact and exact_sub_rep.is_exact
+    assert sub.mul_table == exact_sub.mul_table
+    assert _folds(sub_rep, conjugacy_classes(sub)) == \
+        _folds(exact_sub_rep, conjugacy_classes(exact_sub))
+    with pytest.raises(BadParams, match="^representation has no exact entries$"):
+        sub_rep.exact_matrix_of(sub.identity)
+
+
 def test_permutation_rep_character_counts_fixed_points():
     G = symmetric_group(3)
     cls = conjugacy_classes(G)

@@ -38,6 +38,19 @@ MALFORMED = {
     "endo": (lambda t: endo_from_text(t, Z3), "endo 3\n0\n\n1 7\n", 4),
     "endo_range": (lambda t: endo_from_text(t, Z3), "endo 3\n0 1\n7\n", 3),
     "lattice": (parse_edge_list, "lattice 2\n\n0 1\n0 x\n", 4),
+    "group_order": (group_from_text, "\norder 0\n", 2),
+    "group_row_length": (group_from_text, "order 2\n0 1\n\n1 0 1\n", 4),
+    "group_labels_keyword": (group_from_text, "order 2\n0 1\n1 0\n\nnames\ne\na\n", 5),
+    "group_label_count": (group_from_text, "order 2\n0 1\n1 0\nlabels\n\ne\n", 4),
+    "lattice_sites": (parse_edge_list, "\n\nlattice -1\n", 3),
+    "action_size": (lambda t: action_from_text(t, Z3), "\naction 3 0\n", 2),
+    "action_rows": (lambda t: action_from_text(t, Z3), "action 3 2\n0 1\n\n0 1\n", 4),
+    "action_row_length": (lambda t: action_from_text(t, Z3), "action 3 2\n0 1\n0 1 0\n0 1\n", 3),
+    "rep_dim": (lambda t: rep_from_text(t, Z3), "\n\nrep 3 0\n", 3),
+    "rep_rows": (lambda t: rep_from_text(t, Z3), "rep 3 1\n1 0\n\n1 0\n", 4),
+    "rep_numbers": (lambda t: rep_from_text(t, Z3), "rep 3 1\n1 0\n1 0 0\n1 0\n", 3),
+    "endo_too_many": (lambda t: endo_from_text(t, Z3), "endo 3\n0 1\n\n2 0\n", 4),
+    "endo_too_few": (lambda t: endo_from_text(t, Z3), "endo 3\n0\n1\n\n", 3),
 }
 
 
