@@ -475,9 +475,6 @@ def _parser() -> argparse.ArgumentParser:
         prog="gaugecount",
         description="Exact dimension counts of gauge-invariant Hilbert spaces "
                     "for finite gauge groups on lattice graphs.")
-    ap.add_argument("--threads", type=int, default=1,
-                    help="worker cap (computation is sequential; accepted for "
-                         "interface stability)")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p_count = sub.add_parser("count", help="run the counting formula on a job config")
@@ -514,9 +511,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)  # exact totals may run to any length
     args = _parser().parse_args(argv)
-    if args.threads < 1:
-        sys.stderr.write("error: --threads must be at least 1\n")
-        return EXIT_CONFIG
     if getattr(args, "budget", None) is not None and args.budget < 1:
         sys.stderr.write("error: --budget must be at least 1\n")
         return EXIT_CONFIG

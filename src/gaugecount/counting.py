@@ -86,7 +86,7 @@ class CountReport:
     twisted_head_count: int  # heads of links under a non-constant map
     class_sizes: tuple[int, ...]
     per_class: tuple[Cyclotomic, ...]
-    alpha: Optional[tuple[Fraction, ...]]  # 0/1: every non-constant map fixes the class
+    alpha: Optional[tuple[int, ...]]  # 0/1: every non-constant map fixes the class
     free_factor: Cyclotomic
     witness: IntegralityWitness
     warnings: tuple[str, ...]
@@ -262,7 +262,7 @@ def count_general(G: FiniteGroup,
     total = int(total_cyc.rational_value())
 
     # alpha(C): whether every non-constant map keeps C in place
-    alpha = tuple(Fraction(all(cmaps[m][c] == c for m in proper))
+    alpha = tuple(int(all(cmaps[m][c] == c for m in proper))
                   for c in range(n_cls)) if proper else None
 
     return CountReport(

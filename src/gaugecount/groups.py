@@ -5,7 +5,9 @@ from files may place the identity elsewhere and record it in `identity`.
 Every group carries a verified generating set, and every group law is
 checked by `law_break` over it: exhaustively, in O(|G| * |generators|)
 steps; for associativity this is Light's test (Clifford & Preston, The
-Algebraic Theory of Semigroups I, section 1.2).  Conjugacy classes are
+Algebraic Theory of Semigroups I, section 1.2).  A table passes when its
+rows are permutations, it has a two-sided identity and inverses, and
+Light's test holds.  Conjugacy classes are
 ordered with the identity class first and the rest ascending by their
 smallest element index, so all derived tables are deterministic.
 """
@@ -126,19 +128,6 @@ def extend_generator_images(G: FiniteGroup, images: Sequence, op: Callable,
 # ---------------------------------------------------------------------------
 # validation
 
-def _check_latin_square(table: Sequence[Sequence[int]]) -> None:
-    n = len(table)
-    full = frozenset(range(n))
-    for i, row in enumerate(table):
-        if len(row) != n:
-            raise NotAGroup(f"row {i} has length {len(row)}, expected {n}")
-        if frozenset(row) != full:
-            raise NotAGroup(f"row {i} is not a permutation of 0..{n - 1}")
-    for j, column in enumerate(zip(*table)):
-        if frozenset(column) != full:
-            raise NotAGroup(f"column {j} is not a permutation of 0..{n - 1}")
-
-
 def _find_identity(table: Sequence[Sequence[int]]) -> int:
     n = len(table)
     for e in range(n):
@@ -184,15 +173,25 @@ def group_from_table(
     """Check the group axioms and wrap the table as a FiniteGroup.
 
     Given generators must generate the group (BadParams otherwise); with
-    none, a greedy generating set is chosen.  Associativity is checked on
-    every triple, by Light's test over the generators.
+    none, a greedy generating set is chosen.  Every row must be a permutation
+    of 0..n-1 with int entries, so lookups stay in range and each row holds
+    the identity.  A two-sided identity and inverses and Light's test over the
+    generators (associativity on every triple) then make the table a group,
+    and a group's table is a Latin square: its columns need no check.
     """
     if not table:
         raise NotAGroup("empty table")
     table = tuple(tuple(row) for row in table)
-    _check_latin_square(table)
-    e = _find_identity(table)
     n = len(table)
+    full = frozenset(range(n))
+    for i, row in enumerate(table):
+        if len(row) != n:
+            raise NotAGroup(f"row {i} has length {len(row)}, expected {n}")
+        if set(map(type, row)) != {int}:
+            raise NotAGroup(f"row {i} has an entry that is not an int")
+        if frozenset(row) != full:
+            raise NotAGroup(f"row {i} is not a permutation of 0..{n - 1}")
+    e = _find_identity(table)
     inv = tuple(row.index(e) for row in table)
     for a in range(n):
         if table[inv[a]][a] != e:

@@ -35,15 +35,17 @@ class LatticeGraph:
         if self.site_count < 0:
             raise BadParams(f"negative site count {self.site_count}")
         n = self.site_count
-        for t, h in self.edges:
-            try:  # t | h < 0 iff an endpoint is; TypeError unless both are integers
+        for link in self.edges:
+            try:  # t | h < 0 iff an endpoint is; an error unless link is an integer pair
+                t, h = link
                 if 0 <= t | h and t < n and h < n:
                     continue
-                bad = "out of range"
-            except TypeError:
-                bad = "is not an integer"
-            i = list(map(tuple, self.edges)).index((t, h))
-            raise BadParams(f"link {i} endpoint {bad}: ({t}, {h})")
+                bad = "endpoint out of range"
+            except (TypeError, ValueError):
+                bad = ("endpoint is not an integer"
+                       if isinstance(link, Sequence) and len(link) == 2 else "is not a pair")
+            i = next(i for i, x in enumerate(self.edges) if x is link)
+            raise BadParams(f"link {i} {bad}: {link!r}")
 
     @property
     def edge_count(self) -> int:

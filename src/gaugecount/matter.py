@@ -295,6 +295,8 @@ def _rep(G: FiniteGroup, matrices: Sequence[Sequence[Sequence]], entry) -> Unita
         raise BadParams(f"{len(matrices)} matrices for group of order {G.order}")
     mats = tuple(tuple(tuple(map(entry, row)) for row in m) for m in matrices)
     dim = len(mats[0])
+    if dim < 1:
+        raise BadParams(f"representation dimension must be positive, got {dim}")
     if any(len(m) != dim or any(len(r) != dim for r in m) for m in mats):
         raise BadParams("matrices are not all square of equal dimension")
     exact = None if entry is complex else mats

@@ -161,11 +161,13 @@ def test_config_error_paths(tmp_path, capsys):
     assert main(["count", "--config", cfg]) == 2
 
 
-def test_threads_validation(tmp_path, capsys):
+def test_threads_flag_is_a_usage_error(tmp_path, capsys):
     cfg = write_config(tmp_path, STAGGERED_JOB)
-    assert main(["--threads", "0", "count", "--config", cfg]) == 2
-    assert "at least 1" in capsys.readouterr().err
-    assert main(["--threads", "2", "count", "--config", cfg]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", "2", "count", "--config", cfg])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage: gaugecount")
 
 
 @pytest.mark.parametrize("budget", ["0", "-3"])
@@ -230,6 +232,8 @@ def test_twist_config_variants(tmp_path, capsys):
     cfg = write_config(tmp_path, wrap, "wrap.json")
     assert main(["count", "--config", cfg]) == 0
     assert "total: 2" in capsys.readouterr().out
+    assert main(["count", "--config", cfg, "--format", "json", "--no-timestamp"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["alpha"] == ["1", "0", "1", "0"]
 
     edges = dict(base, twist={"endo": "inversion", "edges": [1]})
     cfg = write_config(tmp_path, edges, "edges.json")

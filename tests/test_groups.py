@@ -1,5 +1,6 @@
 """Group construction, validation, conjugacy classes, subgroups, cosets."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -111,6 +112,44 @@ def test_validate_table_rejects_missing_identity():
     sub3 = [[(a - b) % 3 for b in range(3)] for a in range(3)]
     with pytest.raises(NotAGroup):
         group_from_table(sub3)
+
+
+@pytest.mark.parametrize("table, message", [
+    ([[0, 1], [1]], r"^row 1 has length 1, expected 2$"),
+    ([[0, 1], [1, 2]], r"^row 1 is not a permutation of 0\.\.1$"),
+    ([[0, -1], [-1, 0]], r"^row 0 is not a permutation of 0\.\.1$"),
+    ([[0, 1], [1, 1]], r"^row 1 is not a permutation of 0\.\.1$"),  # no identity in row 1
+    ([[0, Fraction(1)], [Fraction(1), 0]], r"^row 0 has an entry that is not an int$"),
+    ([[0, 1, 2], [1, 2, 0], [2, 0, 1.0]], r"^row 2 has an entry that is not an int$"),
+])
+def test_group_from_table_refuses_bad_rows(table, message):
+    with pytest.raises(NotAGroup, match=message):
+        group_from_table(table)
+
+
+def test_rows_without_latin_columns_fail_associativity():
+    # every row is a permutation and 0 is a two-sided identity, but column 2 repeats 2
+    with pytest.raises(NotAGroup, match="associativity"):
+        group_from_table([[0, 1, 2], [1, 0, 2], [2, 1, 0]])
+
+
+def test_row_permutation_tables_accepted_iff_group():
+    # every table of order <= 3 whose rows are permutations, against the axioms checked directly
+    for n in (1, 2, 3):
+        r = range(n)
+        groups = 0
+        for t in itertools.product(itertools.permutations(r), repeat=n):
+            ids = [e for e in r if all(t[e][x] == x == t[x][e] for x in r)]
+            is_group = (bool(ids) and all(any(t[a][b] == ids[0] == t[b][a] for b in r) for a in r)
+                        and all(t[t[a][b]][c] == t[a][t[b][c]] for a in r for b in r for c in r))
+            try:
+                group_from_table(t)
+                accepted = True
+            except NotAGroup:
+                accepted = False
+            assert accepted == is_group, t
+            groups += accepted
+        assert groups == n  # Z_n, once per choice of identity
 
 
 def _intercalate_table(n, a, c):

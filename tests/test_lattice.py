@@ -86,6 +86,13 @@ def test_lattice_graph_rejects_non_integer_endpoints(bad):
         LatticeGraph(3, ((0, 1), (-1, 0)))
 
 
+@pytest.mark.parametrize("bad", [5, (0, 1, 2), (1,), None])
+def test_lattice_graph_refuses_links_that_are_not_pairs(bad):
+    for edges, i in (((bad,), 0), (((0, 1), (1, 2), bad), 2), (((0, 1), bad, bad), 1)):
+        with pytest.raises(BadParams, match=rf"^link {i} is not a pair: "):
+            LatticeGraph(3, edges)
+
+
 def test_connected_components():
     comps = connected_components(5, [(0, 1), (3, 4)])
     assert comps == ((0, 1), (2,), (3, 4))

@@ -286,6 +286,9 @@ def test_rep_constructors_refuse_wrong_counts_and_shapes(build):
                  [((one, 0), (0,)), ((one, 0), (0, one))]):  # a short row
         with pytest.raises(BadParams, match="^matrices are not all square of equal dimension$"):
             build(Z2, mats)
+    for mats in ([(), ()], [[], []]):
+        with pytest.raises(BadParams, match="^representation dimension must be positive, got 0$"):
+            build(Z2, mats)
 
 
 def test_rep_from_generator_images_refuses_a_wrong_image_count():
