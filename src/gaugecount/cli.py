@@ -83,7 +83,10 @@ def _read_text(path: str) -> str:
     p = Path(path)
     if not p.is_file():
         raise BadParams(f"file not found: {path}")
-    return p.read_text()
+    try:
+        return p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path} is not valid UTF-8 (byte {e.start})")
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +363,8 @@ def _load_config(path: Optional[str]) -> dict:
         cfg = json.loads(raw)
     except json.JSONDecodeError as e:
         raise ParseError(f"config is not valid JSON: {e.msg}", e.lineno)
+    except RecursionError:
+        raise ParseError("config nests too deeply to parse")
     if not isinstance(cfg, dict):
         raise BadParams("config root must be a JSON object")
     check_config_types(cfg)

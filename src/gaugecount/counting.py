@@ -17,7 +17,7 @@ phi_l, fed to this one sum as their class maps: a sink link (phi_l
 constant) forces its tail's component into the identity class; a twisted
 link inside a component keeps the classes C of its head with phi_l(C) = C
 (alpha(C) = 1); a free site (no untwisted link, tail of no twisted link,
-only constant maps in) decouples into the factor (1/|G|) sum_g chi_x(g);
+only constant maps in) is a component alone, the factor sum_C chi_x(C)|C|/|G|;
 twisted links between components become 0/1 factor tables, read off the
 class maps into a head and summed out by bucket elimination onto the
 component of the lowest-numbered constrained site, whose classes give the
@@ -233,11 +233,15 @@ def count_general(G: FiniteGroup,
             nbrs[v] = (nbrs[v] | nbrs[k]) - {k}
         factors.append((scope, {key: t for key, t in table.items() if not t.is_zero()}))
 
-    # class-independent factor from free sites, one power per distinct character
+    # class-independent factor: a free site's mean character sums its potentials,
+    # which depend on its character alone, so each distinct one is summed once
+    means: dict[int, Cyclotomic] = {}
     free_factor = Cyclotomic.one()
-    for i, m in Counter(id(same[id(chars[x])]) for x in free).items():
-        mean = Fraction(1, G.order) * sum((z * v for z, v in zip(sizes, same[i].values)), zero)
-        free_factor = free_factor * mean ** m
+    for x in free:
+        i = id(same[id(chars[x])])
+        if i not in means:
+            means[i] = sum((potential(labels[x], c) for c in range(n_cls)), zero)
+        free_factor = free_factor * means[i]
 
     per_class: list[Cyclotomic] = []
     for c in range(n_cls):

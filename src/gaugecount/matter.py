@@ -705,10 +705,11 @@ def total_hilbert_dim(G: FiniteGroup, L: LatticeGraph, matter: MatterSpec,
     if not same_group(G, classes.group):
         raise GroupMismatch("group and class table disagree")
     chars = site_characters(matter, classes, L.site_count) if site_chars is None else site_chars
-    dims = collections.Counter(ch.values[0].integer_value() for ch in chars)
+    # each distinct character object is read once; ClassFunction is unhashable
+    first = dict(zip(map(id, chars), chars))
     dim = G.order ** L.edge_count
-    for d, m in dims.items():
-        dim *= d ** m
+    for key, m in collections.Counter(map(id, chars)).items():
+        dim *= first[key].values[0].integer_value() ** m
     return dim
 
 

@@ -140,10 +140,6 @@ def mat_det_exact(m: ExactMatrix) -> Cyclotomic:
     n = len(m)
     if n == 0:
         return Cyclotomic.one()
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
     total = Cyclotomic.zero()
     for j in range(n):
         if m[0][j].is_zero():
@@ -200,30 +196,21 @@ def fock_site_trace(rep: UnitaryRep, g: int, parity_sign: int = 1) -> Cyclotomic
     return total
 
 
-def _cpow_weight(v: Weight, k: int) -> Weight:
-    out: Weight = 1
-    for _ in range(k):
-        out = out * v
-    return out
-
-
 def fermion_element_weight(matter: FermionMatter, g: int,
                            parity_sign: int = 1) -> Weight:
     """Fock trace at one element: prod_f (minor sum)^spinor_count."""
     w: Weight = 1
     for rep in matter.flavours:
-        w = w * _cpow_weight(fock_site_trace(rep, g, parity_sign), matter.spinor_count)
+        w = w * fock_site_trace(rep, g, parity_sign) ** matter.spinor_count
     return _canonical_weight(w)
 
 
 def _staggered_weight(matter: FermionMatter, G: FiniteGroup, g: int) -> Weight:
-    """prod_f det(rho_f(g^-1))^spinor_count via the full top minor."""
+    """prod_f det(rho_f(g^-1))^spinor_count by cofactor expansion."""
     w: Weight = 1
     ginv = G.inv(g)
     for rep in matter.flavours:
-        m = rep.exact_matrix_of(ginv)
-        full = tuple(range(rep.dim))
-        w = w * _cpow_weight(_minor_det(m, full, full), matter.spinor_count)
+        w = w * mat_det_exact(rep.exact_matrix_of(ginv)) ** matter.spinor_count
     return _canonical_weight(w)
 
 

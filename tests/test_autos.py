@@ -237,6 +237,13 @@ def test_ambivalence_matches_identity_class_inversion():
         assert is_ambivalent(cls) == is_class_inverting(identity_endo(G), cls)
 
 
+def test_analyze_automorphisms_refuses_another_groups_classes():
+    with pytest.raises(GroupMismatch):
+        analyze_automorphisms(cyclic_group(3), conjugacy_classes(cyclic_group(4)))
+    with pytest.raises(GroupMismatch):
+        analyze_automorphisms(symmetric_group(3), conjugacy_classes(cyclic_group(6)))
+
+
 def test_class_image():
     G = cyclic_group(4)
     cls = conjugacy_classes(G)

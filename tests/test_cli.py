@@ -697,6 +697,28 @@ def test_malformed_config_fields_exit_2(tmp_path, capsys, field):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("where", ["config", "group", "lattice"])
+def test_non_utf8_file_exits_2(tmp_path, capsys, where):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe not utf-8\n")
+    cfg = {"group": {"family": "cyclic", "params": [2]}, "lattice": {"dims": [2]}}
+    if where == "config":
+        path = str(bad)
+    else:
+        cfg[where] = {"file": str(bad)}
+        path = write_config(tmp_path, cfg)
+    assert main(["count", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: ParseError: {bad} is not valid UTF-8 (byte 0)\n"
+
+
+def test_deeply_nested_config_exits_2(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["count", "--config", str(deep)]) == 2
+    assert capsys.readouterr().err == "error: ParseError: config nests too deeply to parse\n"
+
+
 BASE_JOB = {"group": {"family": "cyclic", "params": [4]}, "lattice": {"dims": [2]}}
 
 

@@ -572,6 +572,21 @@ def test_count_dispatch_matches_direct_entry_points():
     assert count(D4, L, fm).total == count_general(D4, cls, L, chars).total
 
 
+def test_free_factor_of_isolated_fermion_sites():
+    """Each isolated site and the dangling virtual site is free; the free
+    factor is the product of their mean characters, an integer of ring 1."""
+    D4 = dihedral_group(4)
+    L = LatticeGraph(4, ((0, 1), (1, 0)))
+    fm = FermionMatter(flavours=(dihedral_rotation_rep(D4, 4),), spinor_count=2,
+                       vacuum="trivial")
+    for sign in (1, -1):
+        r = count(D4, L, fm, dangling_attach=[0], parity_sign=sign)
+        assert r.free_sites == (2, 3, 4)
+        assert r.free_factor == 9 and r.free_factor.order == 1
+        assert r.total == oracle_count(D4, L, fm, dangling_attach=[0], parity_sign=sign)
+    assert count(D4, L, fm, dangling_attach=[0]).total == 6144 * 3
+
+
 def test_report_structure():
     S3 = symmetric_group(3)
     r = count(S3, lattice_chain(2, periodic=True), PureGauge())

@@ -1,0 +1,200 @@
+"""Seeded metamorphic tests: rewrites of a job that cannot change its count.
+
+Each relation rebuilds a generated job (group, torus or open grid, per-site
+characters, per-link boundary maps, optionally a dangling boundary whose
+virtual site carries its own character) and checks that `count_general`
+gives the same total for both:
+
+- subdividing a link t -> x through a new site s of character 1, splitting
+  its map phi into psi o chi across t -> s (psi) and s -> x (chi), one of
+  them an automorphism: summing over s's element gives |G| times the old
+  link's weight;
+- relabelling the sites and shuffling the link order;
+- an inner-automorphism coboundary: site x moved by c_{k_x} turns each
+  link's map phi into c_{k_t} o phi o c_{k_x}^-1, which induces the same
+  class map, so it counts as the untouched twist (as no twist when there
+  was none).
+"""
+
+import functools
+import itertools
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from gaugecount import (  # noqa: E402
+    GroupEndomorphism,
+    LatticeGraph,
+    TwistSpec,
+    action_coset,
+    action_product,
+    binary_tetrahedral_group,
+    conjugacy_classes,
+    constant_class_function,
+    constant_identity_endo,
+    count_general,
+    cyclic_group,
+    dangling_boundary_extension,
+    dihedral_group,
+    dihedral_rotation_rep,
+    enumerate_automorphisms,
+    fermion_site_character,
+    first_proper_subgroup,
+    fixed_point_character,
+    identity_endo,
+    inner_automorphism,
+    lattice_hypercubic,
+    one_dim_to_rep,
+    permutation_rep,
+    quaternion_group,
+    su2_fundamental_rep,
+    symmetric_group,
+    zn_charge_rep,
+)
+from gaugecount.groups import extend_generator_images  # noqa: E402
+
+GROUPS = ("Z4", "Z6", "D4", "Q8", "2T", "S3")
+MAX_SIDE = 6
+MAX_TWISTED = 5
+SETTINGS = settings(derandomize=True, max_examples=20, deadline=None, database=None)
+
+
+@functools.lru_cache(maxsize=None)
+def _setup(name):
+    """(group, class table, character pool, boundary maps, automorphisms)."""
+    if name.startswith("Z"):
+        G = cyclic_group(int(name[1:]))
+        rep = one_dim_to_rep(zn_charge_rep(G, 1))
+    elif name == "D4":
+        G = dihedral_group(4)
+        rep = dihedral_rotation_rep(G, 4)
+    elif name == "S3":
+        G = symmetric_group(3)
+        rep = permutation_rep(action_coset(G, first_proper_subgroup(G)))
+    else:
+        G = quaternion_group() if name == "Q8" else binary_tetrahedral_group()
+        rep = su2_fundamental_rep(G)
+    cls = conjugacy_classes(G)
+    coset = action_coset(G, first_proper_subgroup(G))
+    # means 1, 1 or 2, 1 and at least 2: a free site's factor is not always 1
+    pool = (constant_class_function(cls, 1), fermion_site_character(rep, cls),
+            fixed_point_character(coset, cls),
+            fixed_point_character(action_product(coset, coset), cls))
+    found = (extend_generator_images(G, imgs, G.mul, G.identity)
+             for imgs in itertools.product(range(G.order), repeat=len(G.generators)))
+    kernel = [GroupEndomorphism(G, tuple(f)) for f in found
+              if f is not None and 1 < len(set(f)) < G.order]
+    # inner, inversion and outer maps; Hypothesis draws early entries more
+    # often, so the identity, first in the enumeration, goes last
+    autos = enumerate_automorphisms(G).automorphisms[::-1]
+    return G, cls, pool, (*kernel, constant_identity_endo(G), *autos), autos
+
+
+def _compose(*phis):
+    """phis[0] o phis[1] o ..."""
+    image = tuple(range(phis[0].group.order))
+    for phi in reversed(phis):
+        image = tuple(phi.image[g] for g in image)
+    return GroupEndomorphism(phis[0].group, image)
+
+
+def _inverse(alpha):
+    image = [0] * alpha.group.order
+    for g, v in enumerate(alpha.image):
+        image[v] = g
+    return GroupEndomorphism(alpha.group, tuple(image))
+
+
+@st.composite
+def jobs(draw, name):
+    """(lattice, site characters, link -> map) over the named group."""
+    G, cls, pool, maps, _ = _setup(name)
+    dims = draw(st.lists(st.integers(1, MAX_SIDE), min_size=1, max_size=2))
+    L = lattice_hypercubic(dims, draw(st.sampled_from((True, False))))  # mostly tori
+    twisted = draw(st.lists(st.integers(0, max(L.edge_count - 1, 0)), max_size=MAX_TWISTED,
+                            unique=True)) if L.edge_count else []
+    twist = TwistSpec({i: draw(st.sampled_from(maps)) for i in twisted})
+    if draw(st.booleans()):  # dangling: the virtual site is free until rewritten
+        attach = draw(st.lists(st.integers(0, L.site_count - 1), min_size=1,
+                               max_size=3, unique=True))
+        L, twist = dangling_boundary_extension(L, attach, G, twist)
+    chars = [draw(st.sampled_from(pool)) for _ in range(L.site_count)]
+    return L, chars, dict(twist.maps)
+
+
+def _total(name, L, chars, maps):
+    G, cls, *_ = _setup(name)
+    return count_general(G, cls, L, chars, twist=TwistSpec(maps)).total
+
+
+@pytest.mark.parametrize("name", GROUPS)
+@SETTINGS
+@given(data=st.data())
+def test_subdividing_links_keeps_the_count(name, data):
+    """Every twisted link and one more link are subdivided."""
+    L, chars, maps = data.draw(jobs(name))
+    G, cls, _, _, autos = _setup(name)
+    if not L.edge_count:
+        return
+    links = sorted(set(maps) | {data.draw(st.integers(0, L.edge_count - 1))})
+    edges, sub_maps, V = list(L.edges), dict(maps), L.site_count
+    for i in links:
+        phi = maps.get(i, identity_endo(G))
+        alpha = data.draw(st.sampled_from(autos))
+        psi, chi = ((_compose(phi, _inverse(alpha)), alpha) if data.draw(st.booleans())
+                    else (alpha, _compose(_inverse(alpha), phi)))
+        t, x = edges[i]
+        edges[i] = (t, V)
+        edges.append((V, x))
+        sub_maps[i], sub_maps[len(edges) - 1] = psi, chi
+        V += 1
+    ones = [constant_class_function(cls, 1)] * (V - L.site_count)
+    assert _total(name, LatticeGraph(V, tuple(edges)), chars + ones, sub_maps) == \
+        _total(name, L, chars, maps)
+
+
+@pytest.mark.parametrize("name", GROUPS)
+@SETTINGS
+@given(data=st.data())
+def test_relabelling_sites_and_links_keeps_the_count(name, data):
+    L, chars, maps = data.draw(jobs(name))
+    G, cls, *_ = _setup(name)
+    site = data.draw(st.permutations(range(L.site_count)))
+    order = data.draw(st.permutations(range(L.edge_count)))
+    edges = tuple((site[L.edges[k][0]], site[L.edges[k][1]]) for k in order)
+    new_chars = [None] * L.site_count
+    for x, ch in enumerate(chars):
+        new_chars[site[x]] = ch
+    new_maps = {j: maps[k] for j, k in enumerate(order) if k in maps}
+    before = count_general(G, cls, L, chars, twist=TwistSpec(maps))
+    after = count_general(G, cls, LatticeGraph(L.site_count, edges), new_chars,
+                          twist=TwistSpec(new_maps))
+    assert after.total == before.total
+    assert after.free_factor == before.free_factor
+    assert after.free_sites == tuple(sorted(site[x] for x in before.free_sites))
+    assert (after.twist_kind, after.twisted_head_count) == \
+        (before.twist_kind, before.twisted_head_count)
+
+
+@pytest.mark.parametrize("name", GROUPS)
+@SETTINGS
+@given(data=st.data())
+def test_inner_coboundary_keeps_the_count(name, data):
+    L, chars, maps = data.draw(jobs(name))
+    G, cls, *_ = _setup(name)
+    moved = data.draw(st.lists(st.integers(0, L.site_count - 1), unique=True))
+    k = [G.identity] * L.site_count
+    for x in moved:
+        k[x] = data.draw(st.integers(0, G.order - 1))
+    identity = identity_endo(G)
+    new_maps = {}
+    for i, (t, x) in enumerate(L.edges):
+        phi = _compose(inner_automorphism(G, k[t]), maps.get(i, identity),
+                       inner_automorphism(G, G.inv(k[x])))
+        if phi.image != identity.image:
+            new_maps[i] = phi
+    assert _total(name, L, chars, new_maps) == _total(name, L, chars, maps)

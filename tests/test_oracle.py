@@ -188,6 +188,21 @@ def test_fermion_element_weight_multiplies_flavours():
         assert fermion_element_weight(m1, g) == one_flavour * one_flavour
 
 
+def test_mat_det_exact_small_sizes():
+    r = Cyclotomic.rational
+    w = Cyclotomic.root_of_unity(3)
+    assert oracle.mat_det_exact(()) == 1
+    assert oracle.mat_det_exact(((w,),)) == w
+    assert oracle.mat_det_exact(((Cyclotomic.zero(),),)).is_zero()
+    assert oracle.mat_det_exact(((r(2), r(3)), (r(5), r(7)))) == -1
+    assert oracle.mat_det_exact(((Cyclotomic.zero(), w), (w, r(4)))) == -(w * w)
+    assert oracle.mat_det_exact(((w, r(3)), (Cyclotomic.zero(), w))) == w * w
+    assert oracle.mat_det_exact(((r(0), r(0)), (r(5), r(7)))).is_zero()
+    # a zero in the first row skips its cofactor
+    three = ((r(0), r(2), r(1)), (r(3), w, r(0)), (r(1), r(0), r(4)))
+    assert oracle.mat_det_exact(three) == -(r(24) + w)
+
+
 def test_oracle_matches_engine_across_matter_kinds():
     S3 = symmetric_group(3)
     D4 = dihedral_group(4)
