@@ -33,7 +33,6 @@ from .errors import (
 from .groups import (
     ConjugacyClassTable,
     FiniteGroup,
-    center,
     conjugacy_classes,
     law_break,
     same_group,
@@ -228,6 +227,8 @@ def analyze_automorphisms(G: FiniteGroup,
     enumeration rules one out, None when the search was truncated before
     finding one.
     """
+    if not same_group(G, classes.group):
+        raise GroupMismatch("group and class table disagree")
     search = enumerate_automorphisms(G, budget)
     ambiv = is_ambivalent(classes)
     witness = None
@@ -245,7 +246,7 @@ def analyze_automorphisms(G: FiniteGroup,
         quasi = False
     else:
         quasi = None
-    inner = G.order // center(G).order
+    inner = G.order // classes.sizes.count(1)  # the centre: the one-element classes
     return AutReport(
         group_name=G.name,
         aut_order=len(search.automorphisms),

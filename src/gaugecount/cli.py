@@ -1,10 +1,10 @@
 """Command-line interface: JSON job configs in, deterministic reports out.
 
-Exit codes: 0 success; 2 configuration or validation error (one-line
-diagnostic on stderr); 3 a count failed its integrality guarantee; 4 a
-verify run found formula and oracle in disagreement.  Identical configs
-produce byte-identical reports apart from the timestamp field, which
---no-timestamp suppresses.
+Exit codes: 0 success; 2 configuration or validation error, or an input
+too large to hold in memory (one-line diagnostic on stderr); 3 a count
+failed its integrality guarantee; 4 a verify run found formula and oracle
+in disagreement.  Identical configs produce byte-identical reports apart
+from the timestamp field, which --no-timestamp suppresses.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .errors import (
 from .groups import (
     FiniteGroup,
     builtin_group,
-    center,
     conjugacy_classes,
     first_proper_subgroup,
     group_from_text,
@@ -428,7 +427,7 @@ def cmd_group_info(args) -> int:
         "order": G.order,
         "abelian": G.is_abelian(),
         "exponent": G.exponent(),
-        "center_order": center(G).order,
+        "center_order": classes.sizes.count(1),
         "class_count": classes.n_classes,
         "class_sizes": list(classes.sizes),
         "class_representatives": list(classes.reps),
@@ -524,6 +523,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (GaugeCountError, OSError) as e:
         sys.stderr.write(f"error: {type(e).__name__}: {e}\n")
         return EXIT_NONINTEGRAL if isinstance(e, NonIntegralResult) else EXIT_CONFIG
+    except MemoryError:
+        sys.stderr.write("error: MemoryError: the input is too large to hold in memory\n")
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

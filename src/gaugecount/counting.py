@@ -167,9 +167,12 @@ def count_general(G: FiniteGroup,
     free_set = set(free)
 
     # rational weight per component and class: (|G|/|C|)^(links out - sites),
-    # times every factor that involves this component alone
-    weight = [[Fraction(G.order, sizes[c]) ** (out_links[k] - sites[k])
-               for c in range(n_cls)] for k in range(len(roots))]
+    # times every factor that involves this component alone.  Components with
+    # one exponent share one row, so no row is changed in place: the fold
+    # below gives a component a fresh row
+    exponents = [out_links[k] - sites[k] for k in range(len(roots))]
+    row_of = {e: [Fraction(G.order, size) ** e for size in sizes] for e in set(exponents)}
+    weight = [row_of[e] for e in exponents]
     # one 0/1 factor per twisted head, over its component (none for a free
     # head, whose constant maps ignore its class) and its tails' components:
     # head class C admits exactly the tail class cmaps[m][C] under map m;

@@ -94,6 +94,11 @@ class GroupAction:
     def act(self, g: int, s: int) -> int:
         return self.table[g][s]
 
+    @functools.cached_property
+    def _violation(self) -> Optional[ActionViolation]:
+        """validate_action(self), worked out once per action."""
+        return validate_action(self)
+
 
 ActionViolation = tuple[str, tuple[int, ...]]
 
@@ -592,12 +597,10 @@ class PureGauge:
 
 
 def _check_actions(actions: Sequence[GroupAction]) -> None:
-    """validate_action on each distinct unvalidated action (NotAHomomorphism)."""
-    for A in {id(A): A for A in actions if not getattr(A, "_validated", False)}.values():
-        bad = validate_action(A)
-        if bad is not None:
+    """NotAHomomorphism unless every action is valid; each is checked once."""
+    for A in actions:
+        if (bad := A._violation) is not None:
             raise NotAHomomorphism(f"not a group action: {bad[0]} violated at {bad[1]}")
-        object.__setattr__(A, "_validated", True)  # never checked again
 
 
 @dataclass(frozen=True)
@@ -683,13 +686,15 @@ def site_characters(matter: MatterSpec, classes: ConjugacyClassTable,
     fermion modes by parity."""
     if isinstance(matter, PureGauge):
         return [constant_class_function(classes, 1)] * n_sites
-    if isinstance(matter, ScalarMatter):
-        return [fixed_point_character(matter.action, classes)] * n_sites
-    if isinstance(matter, ScalarMatterPerSite):
-        if len(matter.actions) != n_sites:
-            raise BadParams(
-                f"{len(matter.actions)} actions for {n_sites} physical sites")
-        return [fixed_point_character(a, classes) for a in matter.actions]
+    if isinstance(matter, (ScalarMatter, ScalarMatterPerSite)):
+        actions = (matter.actions if isinstance(matter, ScalarMatterPerSite)
+                   else (matter.action,) * n_sites)
+        if len(actions) != n_sites:
+            raise BadParams(f"{len(actions)} actions for {n_sites} physical sites")
+        # one character per distinct action object, shared by that action's sites
+        ids = list(map(id, actions))
+        chars = {k: fixed_point_character(a, classes) for k, a in dict(zip(ids, actions)).items()}
+        return list(map(chars.__getitem__, ids))
     if isinstance(matter, FermionMatter):
         return fermion_site_characters(matter, classes, n_sites, sign=sign)
     raise BadParams(f"unknown matter specification {matter!r}")
@@ -735,10 +740,8 @@ def action_from_text(text: str, G: FiniteGroup) -> GroupAction:
             raise ParseError(f"row must be {n} indices", line)
         table.append(tuple(row))
     A = GroupAction(G, n, tuple(table))
-    bad = validate_action(A)
-    if bad is not None:
+    if (bad := A._violation) is not None:  # cached: the matter spec reads this result
         raise ParseError(f"not a group action: {bad[0]} violated at {bad[1]}", head)
-    object.__setattr__(A, "_validated", True)  # the matter spec skips the check
     return A
 
 

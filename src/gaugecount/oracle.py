@@ -68,11 +68,8 @@ def pair_count_table(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
 
 
 def _canonical_weight(w: Weight) -> Weight:
-    if isinstance(w, Cyclotomic):
-        if w.is_rational():
-            w = w.rational_value()
-        else:
-            return w
+    if isinstance(w, Cyclotomic) and w.is_rational():
+        w = w.rational_value()
     if isinstance(w, Fraction) and w.denominator == 1:
         return int(w)
     return w
@@ -229,14 +226,14 @@ def oracle_count(G: FiniteGroup, L: LatticeGraph, matter: MatterSpec,
 
     if isinstance(matter, PureGauge):
         rows: list[Sequence[Weight]] = [ones] * n_phys
-    elif isinstance(matter, ScalarMatter):
-        row = tuple(fixed_point_count(matter.action, g) for g in range(G.order))
-        rows = [row] * n_phys
-    elif isinstance(matter, ScalarMatterPerSite):
-        if len(matter.actions) != n_phys:
-            raise BadParams(f"{len(matter.actions)} actions for {n_phys} sites")
-        rows = [tuple(fixed_point_count(a, g) for g in range(G.order))
-                for a in matter.actions]
+    elif isinstance(matter, (ScalarMatter, ScalarMatterPerSite)):
+        actions = (matter.actions if isinstance(matter, ScalarMatterPerSite)
+                   else (matter.action,) * n_phys)
+        if len(actions) != n_phys:
+            raise BadParams(f"{len(actions)} actions for {n_phys} sites")
+        fixed = {id(a): tuple(fixed_point_count(a, g) for g in range(G.order))
+                 for a in {id(a): a for a in actions}.values()}
+        rows = [fixed[id(a)] for a in actions]
     elif isinstance(matter, FermionMatter):
         base = tuple(fermion_element_weight(matter, g, parity_sign)
                      for g in range(G.order))

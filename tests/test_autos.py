@@ -15,6 +15,7 @@ from gaugecount import (
     analyze_automorphisms,
     binary_tetrahedral_group,
     builtin_group,
+    center,
     class_image,
     compose,
     conjugacy_classes,
@@ -242,6 +243,19 @@ def test_analyze_automorphisms_refuses_another_groups_classes():
         analyze_automorphisms(cyclic_group(3), conjugacy_classes(cyclic_group(4)))
     with pytest.raises(GroupMismatch):
         analyze_automorphisms(symmetric_group(3), conjugacy_classes(cyclic_group(6)))
+
+
+def test_analyze_automorphisms_refuses_another_groups_classes_before_searching():
+    # budget 1 finds no map, so no class image can catch the mismatch
+    with pytest.raises(GroupMismatch):
+        analyze_automorphisms(cyclic_group(3), conjugacy_classes(symmetric_group(3)), budget=1)
+
+
+def test_inner_order_reads_the_centre_off_the_class_table():
+    for G in (cyclic_group(6), symmetric_group(3), symmetric_group(4), dihedral_group(4),
+              dihedral_group(5), quaternion_group(), binary_tetrahedral_group()):
+        rep = analyze_automorphisms(G, conjugacy_classes(G), budget=1)
+        assert rep.inner_order == G.order // center(G).order, G.name
 
 
 def test_class_image():

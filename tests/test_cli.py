@@ -14,6 +14,8 @@ from gaugecount import (
     action_left_mult,
     action_to_text,
     action_trivial,
+    builtin_group,
+    center,
     cyclic_group,
     dihedral_group,
     dihedral_rotation_rep,
@@ -471,6 +473,14 @@ def _count_calls(monkeypatch, name, modules):
     return calls
 
 
+@pytest.mark.parametrize("family, params", [("cyclic", [4]), ("dihedral", [4]),
+                                            ("symmetric", [3]), ("binary_tetrahedral", [])])
+def test_group_info_center_order_is_the_count_of_one_element_classes(capsys, family, params):
+    assert main(["group-info", "--family", family, "--params", *map(str, params)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["center_order"] == center(builtin_group(family, tuple(params))).order
+
+
 def test_count_builds_site_characters_once(tmp_path, capsys, monkeypatch):
     calls = _count_calls(monkeypatch, "site_characters", (matter, counting, cli))
     cfg = write_config(tmp_path, dict(STAGGERED_JOB, dangling_attach=[0]))
@@ -717,6 +727,22 @@ def test_deeply_nested_config_exits_2(tmp_path, capsys):
     deep.write_text("[" * 100_000 + "]" * 100_000)
     assert main(["count", "--config", str(deep)]) == 2
     assert capsys.readouterr().err == "error: ParseError: config nests too deeply to parse\n"
+
+
+# each size is past CPython's list-size limit, so it is refused before any allocation
+@pytest.mark.parametrize("case", ["config_dims", "lattice_file", "lattice_make"])
+def test_input_too_large_for_memory_exits_2(tmp_path, capsys, case):
+    lattice = {"dims": [1_000_000_000, 1_000_000_000]}
+    if case == "lattice_file":
+        (tmp_path / "huge.lat").write_text("lattice 2000000000000000000\n")
+        lattice = {"file": str(tmp_path / "huge.lat")}
+    cfg = write_config(tmp_path, {"group": {"family": "cyclic", "params": [2]},
+                                  "lattice": lattice})
+    argv = (["lattice-make", "--dims", "1000000000", "1000000000"] if case == "lattice_make"
+            else ["count", "--config", cfg])
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: MemoryError: the input is too large to hold in memory\n")
 
 
 BASE_JOB = {"group": {"family": "cyclic", "params": [4]}, "lattice": {"dims": [2]}}

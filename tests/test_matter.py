@@ -63,6 +63,7 @@ from gaugecount import (
     rep_from_text,
     rep_restrict,
     rep_to_text,
+    site_characters,
     spinor_components_for_dirac,
     su2_fundamental_rep,
     subgroup_from_elements,
@@ -72,6 +73,7 @@ from gaugecount import (
     validate_action,
     zn_charge_rep,
 )
+from gaugecount import matter
 from gaugecount.matter import mat_identity_exact, mat_mul_exact
 from gaugecount.oracle import mat_det_exact
 
@@ -154,6 +156,49 @@ def test_scalar_matter_checks_its_actions():
     m = ScalarMatterPerSite((good, good))
     L = lattice_chain(2, periodic=True)
     assert count(Z3, L, m).total == oracle_count(Z3, L, m)
+
+
+def test_scalar_sites_share_one_character_per_distinct_action(monkeypatch):
+    S3 = symmetric_group(3)
+    cls = conjugacy_classes(S3)
+    left, coset = action_left_mult(S3), action_coset(S3, first_proper_subgroup(S3))
+    built = []
+    original = matter.fixed_point_character
+
+    def counted(A, classes):
+        built.append(A)
+        return original(A, classes)
+    monkeypatch.setattr(matter, "fixed_point_character", counted)
+    L = lattice_hypercubic((8, 8))
+    mixed = ScalarMatterPerSite(tuple(coset if x % 3 else left for x in range(L.site_count)))
+    chars = site_characters(mixed, cls, L.site_count)
+    assert len({id(ch) for ch in chars}) == 2
+    assert len(built) == 2
+    assert [chars[x] is chars[1 if x % 3 else 0] for x in range(L.site_count)] == [True] * 64
+    shared = ScalarMatterPerSite((coset,) * L.site_count)
+    assert count(S3, L, shared, classes=cls).total == count(S3, L, ScalarMatter(coset),
+                                                             classes=cls).total
+    small = lattice_chain(3, periodic=True)
+    m = ScalarMatterPerSite((coset, left, coset))
+    assert count(S3, small, m, classes=cls).total == oracle_count(S3, small, m)
+
+
+def test_a_bad_action_is_validated_once_and_refused_by_every_reader(monkeypatch):
+    calls = []
+    original = matter.validate_action
+
+    def counted(A):
+        calls.append(A)
+        return original(A)
+    monkeypatch.setattr(matter, "validate_action", counted)
+    Z3 = cyclic_group(3)
+    bad = GroupAction(Z3, 3, ((0, 1, 2), (1, 1, 2), (2, 0, 1)))
+    for build in (ScalarMatter, lambda A: ScalarMatterPerSite((A,) * 5), ScalarMatter):
+        with pytest.raises(NotAHomomorphism, match="compatibility"):
+            build(bad)
+    assert calls == [bad]
+    with pytest.raises(ParseError, match="compatibility"):
+        action_from_text(action_to_text(bad), Z3)
 
 
 def test_fixed_point_character_values():
