@@ -49,16 +49,6 @@ class GroupEndomorphism:
     group: FiniteGroup
     image: tuple[int, ...]
 
-    def apply(self, g: int) -> int:
-        return self.image[g]
-
-    def is_identity_map(self) -> bool:
-        return all(self.image[g] == g for g in range(self.group.order))
-
-    def is_constant_identity(self) -> bool:
-        e = self.group.identity
-        return all(v == e for v in self.image)
-
 
 def is_endomorphism(G: FiniteGroup, image: Sequence[int]) -> bool:
     n = G.order

@@ -261,11 +261,9 @@ def _matter_label(matter: MatterSpec) -> str:
         return f"scalar[{matter.action.set_size}]"
     if isinstance(matter, ScalarMatterPerSite):
         return "scalar_per_site[" + ",".join(str(a.set_size) for a in matter.actions) + "]"
-    if isinstance(matter, FermionMatter):
-        vac = matter.vacuum if isinstance(matter.vacuum, str) else "explicit"
-        dims = ",".join(str(f.dim) for f in matter.flavours)
-        return f"fermion[dims={dims},spinors={matter.spinor_count},vacuum={vac}]"
-    return "unknown"
+    vac = matter.vacuum if isinstance(matter.vacuum, str) else "explicit"
+    dims = ",".join(str(f.dim) for f in matter.flavours)
+    return f"fermion[dims={dims},spinors={matter.spinor_count},vacuum={vac}]"
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +352,7 @@ def _write_out(text: str, path: Optional[str]) -> None:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _load_config(path: Optional[str]) -> dict:
-    if not path:
-        raise BadParams("--config is required for this command")
+def _load_config(path: str) -> dict:
     raw = _read_text(path)
     try:
         cfg = json.loads(raw)

@@ -39,7 +39,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .autos import class_image
 from .cyclo import Cyclotomic
@@ -95,7 +95,7 @@ class CountReport:
 def count_general(G: FiniteGroup,
                   classes: ConjugacyClassTable,
                   L: LatticeGraph,
-                  site_chars: Union[ClassFunction, Sequence[ClassFunction]],
+                  site_chars: Sequence[ClassFunction],
                   twist: Optional[TwistSpec] = None,
                   require_nonnegative: bool = True) -> CountReport:
     """Exact gauge-invariant dimension for arbitrary per-site characters.
@@ -106,12 +106,9 @@ def count_general(G: FiniteGroup,
     if not same_group(G, classes.group):
         raise GroupMismatch("group and class table disagree")
     V, E = L.site_count, L.edge_count
-    if isinstance(site_chars, ClassFunction):
-        chars: list[ClassFunction] = [site_chars] * V
-    else:
-        chars = list(site_chars)
-        if len(chars) != V:
-            raise BadParams(f"{len(chars)} site characters for {V} sites")
+    chars = list(site_chars)
+    if len(chars) != V:
+        raise BadParams(f"{len(chars)} site characters for {V} sites")
     # sites grouped by character value, not object, so each distinct value is
     # raised once; same maps each object's id to the first equal character
     by_value: dict[tuple, ClassFunction] = {}

@@ -17,7 +17,7 @@ deterministic.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from math import lcm
 from operator import getitem, itemgetter
 from typing import Callable, Iterable, Optional, Sequence
@@ -45,6 +45,9 @@ class FiniteGroup:
     labels: tuple[str, ...]
     generators: tuple[int, ...]
     name: str = "G"
+    # unit-quaternion coordinates of each element, four integers over
+    # quaternions.DENOM, for groups built from quaternions (Q8, 2T, 2O, 2I)
+    quaternion_coords: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     def mul(self, a: int, b: int) -> int:
         return self.mul_table[a][b]
@@ -276,10 +279,7 @@ def _build_from_generators(gens, mul, max_order, labeler, name):
     table = tuple(zip(*cols))
     labels = tuple(labeler(x) for x in elems)
     gen_idx = tuple(index[g] for g in gens)
-    grp = group_from_table(table, labels, gen_idx, name)
-    if grp.identity != 0:
-        raise NotAGroup("identity did not land at index 0")
-    return grp, elems
+    return group_from_table(table, labels, gen_idx, name), elems
 
 
 # ---------------------------------------------------------------------------
@@ -396,15 +396,7 @@ def _quaternion_closure(gens: list, expected_order: int, name: str) -> FiniteGro
                                         qt.quat_label, name)
     if grp.order != expected_order:
         raise NotAGroup(f"{name} closed at order {grp.order}, expected {expected_order}")
-    object.__setattr__(grp, "_quaternion_coords", tuple(elems))
-    return grp
-
-
-def quaternion_coordinates(G: FiniteGroup):
-    """Unit-quaternion coordinates for groups built from quaternions, else None.
-
-    Each coordinate is a tuple of four integers over `quaternions.DENOM`."""
-    return getattr(G, "_quaternion_coords", None)
+    return replace(grp, quaternion_coords=tuple(elems))
 
 
 def direct_product(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:
@@ -491,9 +483,6 @@ class ConjugacyClassTable:
     @property
     def n_classes(self) -> int:
         return len(self.reps)
-
-    def members(self, c: int) -> tuple[int, ...]:
-        return self.class_members[c]
 
 
 def conjugacy_classes(G: FiniteGroup) -> ConjugacyClassTable:

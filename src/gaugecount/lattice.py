@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import groupby, repeat
+from itertools import repeat
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .autos import GroupEndomorphism, constant_identity_endo, is_endomorphism
@@ -117,18 +117,6 @@ def component_labels(site_count: int, edges: Iterable[Edge]) -> tuple[list[int],
         parent = up
     number = {r: k for k, r in enumerate(sorted(set(parent)))}  # root -> component
     return list(map(number.__getitem__, parent)), list(number)
-
-
-def connected_components(site_count: int, edges: Iterable[Edge]) -> tuple[tuple[int, ...], ...]:
-    """Components of the underlying undirected graph, each sorted, in the
-    order of their union-find roots."""
-    label = component_labels(site_count, edges)[0].__getitem__
-    by_label = sorted(range(site_count), key=label)  # stable: each component in order
-    return tuple(tuple(g) for _, g in groupby(by_label, key=label))
-
-
-def is_connected(L: LatticeGraph) -> bool:
-    return len(component_labels(L.site_count, L.edges)[1]) <= 1
 
 
 # ---------------------------------------------------------------------------

@@ -72,9 +72,6 @@ class ClassFunction:
     group: FiniteGroup
     values: tuple[Cyclotomic, ...]
 
-    def value_at(self, g: int, classes: ConjugacyClassTable) -> Cyclotomic:
-        return self.values[classes.class_of[g]]
-
 
 def constant_class_function(classes: ConjugacyClassTable, value=1) -> ClassFunction:
     return ClassFunction(classes.group, (_as_cyclo(value),) * classes.n_classes)
@@ -90,9 +87,6 @@ class GroupAction:
     group: FiniteGroup
     set_size: int
     table: tuple[tuple[int, ...], ...]  # table[g][s] = g . s
-
-    def act(self, g: int, s: int) -> int:
-        return self.table[g][s]
 
     @functools.cached_property
     def _violation(self) -> Optional[ActionViolation]:
@@ -382,10 +376,9 @@ def dihedral_rotation_rep(G: FiniteGroup, n: int) -> UnitaryRep:
 
 def su2_fundamental_rep(G: FiniteGroup) -> UnitaryRep:
     """2-dim rep from stored unit-quaternion coordinates (Q8 and binary groups)."""
-    from .groups import quaternion_coordinates
     from .quaternions import DENOM, QN
 
-    coords = quaternion_coordinates(G)
+    coords = G.quaternion_coords
     if coords is None:
         raise BadParams("group carries no quaternion coordinates")
 

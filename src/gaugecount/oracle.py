@@ -54,17 +54,12 @@ Weight = Union[int, Fraction, Cyclotomic]
 def pair_count_table(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     """M[a][b] = #{g : a g = g b}, by direct enumeration of g and a: the one
     b that each pair admits is g^-1 a g."""
-    cached = getattr(G, "_pair_counts", None)
-    if cached is not None:
-        return cached
     n, mul = G.order, G.mul_table
     counts = [[0] * n for _ in range(n)]
     for g in range(n):
         for a in range(n):
             counts[a][mul[G.inv(g)][mul[a][g]]] += 1
-    table = tuple(map(tuple, counts))
-    object.__setattr__(G, "_pair_counts", table)
-    return table
+    return tuple(map(tuple, counts))
 
 
 def _canonical_weight(w: Weight) -> Weight:

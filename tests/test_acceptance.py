@@ -438,16 +438,16 @@ def test_criterion_7_integrality(grid_results, capsys):
     cls = conjugacy_classes(Z3)
     with pytest.raises(NonIntegralResult):
         count_general(Z3, cls, lattice_chain(2, periodic=True),
-                      constant_class_function(cls, Fraction(1, 3)))
+                      [constant_class_function(cls, Fraction(1, 3))] * 2)
     z = Cyclotomic.root_of_unity(3)
     with pytest.raises(NonIntegralResult):
         count_general(Z3, cls, lattice_chain(1),
-                      ClassFunction(Z3, (Cyclotomic.one(), z, z)))
+                      [ClassFunction(Z3, (Cyclotomic.one(), z, z))])
     Z2 = cyclic_group(2)
     cls2 = conjugacy_classes(Z2)
     with pytest.raises(NonIntegralResult):
         count_general(Z2, cls2, lattice_chain(1),
-                      constant_class_function(cls2, -1))
+                      [constant_class_function(cls2, -1)])
     _say(capsys, f"PASS criterion 7: every one of {len(runs)} grid counts "
                  f"carries a passing integrality witness; fractional, "
                  f"irrational, and negative corruptions raise")

@@ -20,6 +20,7 @@ from gaugecount import (
     dihedral_group,
     dihedral_rotation_rep,
     endo_to_text,
+    group_from_table,
     group_to_text,
     inversion_endo,
     parse_edge_list,
@@ -136,6 +137,9 @@ def test_config_error_paths(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert main(["count", "--config", missing]) == 2
     assert "BadParams" in capsys.readouterr().err
+    assert main(["count", "--config", ""]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{not json")
@@ -697,6 +701,7 @@ def test_totals_past_the_int_str_limit(tmp_path, capsys, restore_int_str_limit):
     {"matter": "fermion"},
     {"dangling_attach": ["z"]},
     {"twist": {"endo": "inversion", "wrap_dim": "k"}},
+    {"lattice": {"dims": [2, 3], "periodic": [True, 1]}},
 ])
 def test_malformed_config_fields_exit_2(tmp_path, capsys, field):
     cfg = dict({"group": {"family": "cyclic", "params": [4]},
@@ -766,6 +771,31 @@ def test_unbuildable_config_specs_exit_2(tmp_path, capsys, field, message):
     cfg = dict(BASE_JOB, **field)
     assert main(["count", "--config", write_config(tmp_path, cfg)]) == 2
     assert capsys.readouterr().err == f"error: BadParams: {message}\n"
+
+
+def test_group_info_reports_absent_charge_conjugation(tmp_path, capsys):
+    # the Frobenius group Z7 x| Z3 with b a b^-1 = a^2: a^i b^j is element
+    # 7j + i, and (a^i b^j)(a^k b^l) = a^(i + 2^j k) b^(j + l)
+    table = [[(i + 2 ** j * k) % 7 + 7 * ((j + l) % 3) for l in range(3) for k in range(7)]
+             for j in range(3) for i in range(7)]
+    path = tmp_path / "f21.txt"
+    path.write_text(group_to_text(group_from_table(table)))
+    cfg = write_config(tmp_path, {"group": {"file": str(path)}})
+    assert main(["group-info", "--config", cfg]) == 0
+    info = json.loads(capsys.readouterr().out)
+    assert info["enumeration_complete"] is True
+    assert (info["aut_order"], info["inner_order"], info["outer_order"]) == (42, 21, 2)
+    assert info["ambivalent"] is False and info["quasi_ambivalent"] == "no"
+    assert info["charge_conjugation_count"] == 0
+    assert info["charge_conjugation_witness"] is None
+
+
+def test_periodic_flags_per_dimension_config(tmp_path, capsys):
+    job = {"group": {"family": "cyclic", "params": [3]},
+           "lattice": {"dims": [2, 3], "periodic": [True, False]}}
+    assert main(["count", "--config", write_config(tmp_path, job), "--format", "json"]) == 0
+    # 6 sites and 10 links (only the first dimension wraps): 3^(10 - 6 + 1)
+    assert json.loads(capsys.readouterr().out)["result"]["total"] == "243"
 
 
 def test_group_info_config_matches_family(tmp_path, capsys):

@@ -27,7 +27,6 @@ from gaugecount import (
     binary_octahedral_group,
     burnside_count,
     conjugacy_classes,
-    connected_components,
     constant_class_function,
     constant_identity_endo,
     count,
@@ -60,6 +59,7 @@ from gaugecount import (
     zn_site_characters,
 )
 from gaugecount.groups import extend_generator_images
+from gaugecount.lattice import component_labels
 
 
 def test_pure_gauge_periodic_chain_counts_classes():
@@ -281,7 +281,7 @@ def _per_link_twist(rng, maps, n_links, p=0.5):
 
 
 def _distinct_maps(tw):
-    return len({e.image for e in tw.maps.values() if not e.is_identity_map()})
+    return len({e.image for e in tw.maps.values() if e.image != tuple(range(e.group.order))})
 
 
 def test_random_multigraphs_match_burnside_oracle():
@@ -308,7 +308,7 @@ def test_random_multigraphs_match_burnside_oracle():
         assert (count_general(G, cls, L, chars, twist=tw).total
                 == burnside_count(G, L, rows, twist=tw)), (G.name, edges, tw)
         untwisted = [e for i, e in enumerate(edges) if i not in tw.maps]
-        multi += len(connected_components(V, untwisted)) > 1
+        multi += len(component_labels(V, untwisted)[1]) > 1
         mixed += _distinct_maps(tw) >= 2
     assert multi >= 200 and mixed >= 400 // 3
 
@@ -349,7 +349,7 @@ def test_twist_link_index_out_of_range_is_refused():
     with pytest.raises(BadParams):
         count(Z3, L, PureGauge(), twist=tw)
     with pytest.raises(BadParams):
-        count_general(Z3, cls, L, constant_class_function(cls, 1), twist=tw)
+        count_general(Z3, cls, L, [constant_class_function(cls, 1)] * 2, twist=tw)
     with pytest.raises(BadParams):
         oracle_count(Z3, L, PureGauge(), twist=tw)
     with pytest.raises(BadParams):
@@ -501,6 +501,10 @@ def test_zn_closed_form_parameter_errors():
         count_zn_closed_form(3, (0, 0, 0), L, boundary="moebius")
     with pytest.raises(BadParams):
         count_zn_closed_form(3, (), LatticeGraph(1, ()), boundary="dangling")
+    with pytest.raises(BadParams, match="^3 charges for 2 physical sites$"):
+        count_zn_closed_form(3, (0, 0, 0), L, boundary="dangling")
+    with pytest.raises(BadParams, match="^2 charges for 3 sites$"):
+        count_zn_closed_form(3, (0, 0), L, boundary="cperiodic")
 
 
 def test_fractional_class_sum_is_rejected():
@@ -508,7 +512,7 @@ def test_fractional_class_sum_is_rejected():
     cls = conjugacy_classes(Z2)
     bad = constant_class_function(cls, Fraction(1, 3))
     with pytest.raises(NonIntegralResult) as e:
-        count_general(Z2, cls, lattice_chain(2), bad)
+        count_general(Z2, cls, lattice_chain(2), [bad] * 2)
     assert "denominator" in str(e.value)
 
 
@@ -518,7 +522,7 @@ def test_irrational_class_sum_is_rejected():
     z = Cyclotomic.root_of_unity(3)
     lopsided = ClassFunction(Z3, (Cyclotomic.one(), z, z))
     with pytest.raises(NonIntegralResult) as e:
-        count_general(Z3, cls, LatticeGraph(1, ()), lopsided)
+        count_general(Z3, cls, LatticeGraph(1, ()), [lopsided])
     assert "rational=False" in str(e.value)
 
 
@@ -528,8 +532,8 @@ def test_negative_total_needs_explicit_opt_in():
     minus = constant_class_function(cls, -1)
     L = LatticeGraph(1, ())
     with pytest.raises(NonIntegralResult):
-        count_general(Z2, cls, L, minus)
-    r = count_general(Z2, cls, L, minus, require_nonnegative=False)
+        count_general(Z2, cls, L, [minus])
+    r = count_general(Z2, cls, L, [minus], require_nonnegative=False)
     assert r.total == -1 and not r.witness.nonnegative
 
 
@@ -539,11 +543,11 @@ def test_group_mismatch_is_rejected():
     cls3 = conjugacy_classes(Z3)
     with pytest.raises(GroupMismatch):
         count_general(S3, cls3, lattice_chain(2),
-                      constant_class_function(cls3, 1))
+                      [constant_class_function(cls3, 1)] * 2)
     clsS = conjugacy_classes(S3)
     with pytest.raises(GroupMismatch):
         count_general(S3, clsS, lattice_chain(2),
-                      constant_class_function(cls3, 1))
+                      [constant_class_function(cls3, 1)] * 2)
     tw = make_twist(lattice_chain(2, periodic=True), inversion_endo(Z3), [1])
     with pytest.raises(GroupMismatch):
         count(S3, lattice_chain(2, periodic=True), PureGauge(), twist=tw)

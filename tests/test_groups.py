@@ -50,7 +50,6 @@ from gaugecount import (
     trivial_group,
     validate_action,
 )
-from gaugecount.groups import quaternion_coordinates
 from gaugecount.quaternions import DENOM, quat_mul
 
 # latin square with identity 0 but no associativity: (1*1)*2 = 2, 1*(1*2) = 4
@@ -265,7 +264,7 @@ def test_quaternion_coordinates_multiply_like_the_table():
     for G in (quaternion_group(), binary_tetrahedral_group(),
               binary_octahedral_group(), binary_icosahedral_group()):
         coords = [tuple(tuple(Fraction(c, DENOM) for c in comp) for comp in q)
-                  for q in quaternion_coordinates(G)]
+                  for q in G.quaternion_coords]
         assert len(set(coords)) == G.order
         for q in coords:
             assert _surd_sum(*(_surd_mul(c, c) for c in q)) == (1, 0, 0, 0)
@@ -317,7 +316,7 @@ def test_class_ordering_contract():
         for c in range(cls.n_classes):
             # the stored members are the conjugation orbit of the representative
             scan = tuple(g for g in range(G.order) if cls.class_of[g] == c)
-            assert cls.members(c) == scan and len(scan) == cls.sizes[c]
+            assert cls.class_members[c] == scan and len(scan) == cls.sizes[c]
             assert set(scan) == {G.conj(h, cls.reps[c]) for h in range(G.order)}
             assert min(scan) == cls.reps[c]
 

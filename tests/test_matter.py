@@ -225,7 +225,7 @@ def test_fixed_point_character_detects_inconsistency():
     c = next(c for c in range(cls4.n_classes) if cls4.sizes[c] == 6
              and S4.element_order(cls4.reps[c]) == 2)
     rows = list(action_left_mult(S4).table)
-    rows[cls4.members(c)[-1]] = tuple(range(S4.order))
+    rows[cls4.class_members[c][-1]] = tuple(range(S4.order))
     with pytest.raises(ClassInconsistency):
         fixed_point_character(GroupAction(S4, S4.order, tuple(rows)), cls4)
 
@@ -474,7 +474,7 @@ def test_one_dim_class_values_detects_inconsistency():
     c = next(c for c in range(cls4.n_classes) if cls4.sizes[c] == 6
              and S4.element_order(cls4.reps[c]) == 2)
     vals = list(trivial_one_dim(S4).values)
-    vals[cls4.members(c)[-1]] = Cyclotomic.rational(-1)
+    vals[cls4.class_members[c][-1]] = Cyclotomic.rational(-1)
     with pytest.raises(ClassInconsistency):
         one_dim_class_values(OneDimRep(S4, tuple(vals)), cls4)
 
@@ -645,7 +645,7 @@ def test_constant_class_function():
     cls = conjugacy_classes(symmetric_group(3))
     f = constant_class_function(cls, Fraction(1, 2))
     assert len(f.values) == 3
-    assert f.value_at(0, cls) == Cyclotomic.rational(Fraction(1, 2))
+    assert f.values[cls.class_of[0]] == Cyclotomic.rational(Fraction(1, 2))
 
 
 # ---------------------------------------------------------------------------

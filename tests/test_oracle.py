@@ -76,11 +76,6 @@ def test_pair_count_table_structure():
             assert (M[a][b] > 0) == same
 
 
-def test_pair_count_table_is_memoized():
-    G = dihedral_group(3)
-    assert pair_count_table(G) is pair_count_table(G)
-
-
 def test_pair_count_table_matches_the_definition():
     for G in (symmetric_group(3), dihedral_group(4), quaternion_group(),
               binary_tetrahedral_group(), symmetric_group(5)):
@@ -333,3 +328,5 @@ def test_free_action_closed_form_matches_engine_and_oracle():
     assert oracle_count(S3, L, m) == closed
     with pytest.raises(BadParams):
         free_action_closed_form(S3, lattice_chain(3), acts)
+    with pytest.raises(BadParams, match="^2 actions for 3 sites$"):
+        oracle_count(S3, lattice_chain(3), m)
