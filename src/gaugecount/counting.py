@@ -13,15 +13,15 @@ dimension is a single contraction of exact class sums
 
 over cyclotomic numbers, phi_l(C) being the class that the endomorphism
 phi_l sends the class C into.  Boundary conditions are the per-link maps
-phi_l, fed to this one sum as their class maps: a sink link (phi_l
-constant) forces its tail's component into the identity class; a twisted
-link inside a component keeps the classes C of its head with phi_l(C) = C
-(alpha(C) = 1); a free site (no untwisted link, tail of no twisted link,
-only constant maps in) is a component alone, the factor sum_C chi_x(C)|C|/|G|;
-twisted links between components become 0/1 factor tables, read off the
-class maps into a head and summed out by bucket elimination onto the
-component of the lowest-numbered constrained site, whose classes give the
-per-class breakdown.
+phi_l, fed to this one sum as data.  A sink link t -> x (constant phi_l) pins
+h_t to the identity and ignores h_x, as the untwisted link t -> s into one
+shared sink site s of regular character (|G| on the identity class, 0
+elsewhere) does.  A twisted link inside a component keeps the classes C of
+its head with phi_l(C) = C (alpha(C) = 1); a free site (only sink links
+in, if any) is a component alone, the factor sum_C chi_x(C)|C|/|G|; twisted
+links between components become 0/1 factor tables, read off the class maps
+into a head and summed out by bucket elimination onto the component of the
+lowest-numbered constrained site, whose classes give the per-class breakdown.
 The cost follows distinct characters and nonzero entries, not sites or class
 tuples: sites with equal character values share one power, and elimination
 joins only the nonzero entries of the tables it sums out.  Per site and link
@@ -106,9 +106,40 @@ def count_general(G: FiniteGroup,
     if not same_group(G, classes.group):
         raise GroupMismatch("group and class table disagree")
     V, E = L.site_count, L.edge_count
+    # the twist as data: each distinct map, interned by its image, is read once
+    # as a class map; identity maps leave their links untwisted, and a sink
+    # link t -> x (constant map) becomes the untwisted link t -> V, V the sink site
+    maps = twist.maps if twist is not None else {}
+    index: dict[tuple[int, ...], int] = {}  # image -> map number
+    cmaps: list[tuple[int, ...]] = []  # map number -> its class map
+    map_of: dict[int, int] = {}  # link under a non-constant map -> map number
+    sink: set[int] = set()  # links under the constant map
+    identity, sink_image = tuple(range(G.order)), (G.identity,) * G.order
+    for i, endo in sorted(maps.items()):
+        if not 0 <= i < E:
+            raise BadParams(f"twisted link index {i} out of range for {E} links")
+        if not same_group(endo.group, G):
+            raise GroupMismatch("twist endomorphism lives over a different group")
+        if endo.image == sink_image != identity:  # the trivial group's one map is the identity
+            sink.add(i)
+        elif endo.image != identity:
+            if endo.image not in index:
+                index[endo.image] = len(cmaps)
+                cmaps.append(class_image(endo, classes))
+            map_of[i] = index[endo.image]
+    warnings: list[str] = []
+    if len(map_of) + len(sink) < len(maps):
+        warnings.append("identity twist normalized to untwisted links")
+    warnings += [f"twisted link {i} is a self-loop" for i in sorted(sink | map_of.keys())
+                 if L.edges[i][0] == L.edges[i][1]]
+
+    n_cls, sizes = classes.n_classes, classes.sizes
     chars = list(site_chars)
     if len(chars) != V:
         raise BadParams(f"{len(chars)} site characters for {V} sites")
+    if sink:  # the sink site's regular character
+        chars.append(ClassFunction(G, (Cyclotomic.rational(G.order),)
+                                   + (Cyclotomic.zero(),) * (n_cls - 1)))
     # sites grouped by character value, not object, so each distinct value is
     # raised once; same maps each object's id to the first equal character
     by_value: dict[tuple, ClassFunction] = {}
@@ -118,34 +149,9 @@ def count_general(G: FiniteGroup,
             raise GroupMismatch("site character lives over a different group")
         same[key] = by_value.setdefault(tuple((v.order, v.num, v.den) for v in ch.values), ch)
 
-    # the twist as data: each distinct map, interned by its image, is read once
-    # as a class map; identity maps leave their links untwisted
-    maps = twist.maps if twist is not None else {}
-    index: dict[tuple[int, ...], int] = {}  # image -> map number
-    cmaps: list[tuple[int, ...]] = []  # map number -> its class map
-    map_of: dict[int, int] = {}  # twisted link -> map number
-    identity = tuple(range(G.order))
-    for i, endo in sorted(maps.items()):
-        if not 0 <= i < E:
-            raise BadParams(f"twisted link index {i} out of range for {E} links")
-        if not same_group(endo.group, G):
-            raise GroupMismatch("twist endomorphism lives over a different group")
-        if endo.image != identity:
-            if endo.image not in index:
-                index[endo.image] = len(cmaps)
-                cmaps.append(class_image(endo, classes))
-            map_of[i] = index[endo.image]
-    warnings: list[str] = []
-    if len(map_of) < len(maps):
-        warnings.append("identity twist normalized to untwisted links")
-    # a sink link's map is constant: the only one that sends every class to
-    # the identity class, as only the identity lies in that class
-    constant = [set(cmap) == {classes.class_of[G.identity]} for cmap in cmaps]
-    proper = tuple(m for m, c in enumerate(constant) if not c)
-
-    n_cls, sizes = classes.n_classes, classes.sizes
-    untwisted = [e for i, e in enumerate(L.edges) if i not in map_of] if map_of else L.edges
-    labels, roots = component_labels(V, untwisted)
+    untwisted = [(e[0], V) if i in sink else e for i, e in enumerate(L.edges)
+                 if i not in map_of] if map_of or sink else L.edges
+    labels, roots = component_labels(len(chars), untwisted)
     multiplicity = [defaultdict(int) for _ in roots]  # id of first equal character -> sites
     for (k, key), m in Counter(zip(labels, map(id, chars))).items():
         multiplicity[k][id(same[key])] += m
@@ -154,13 +160,10 @@ def count_general(G: FiniteGroup,
     into: dict[int, set[tuple[int, int]]] = {}  # head site -> (map, tail component)
     for i, m in map_of.items():
         t, h = L.edges[i]
-        if t == h:
-            warnings.append(f"twisted link {i} is a self-loop")
         into.setdefault(h, set()).add((m, labels[t]))
-    # free: no untwisted link, tail of no twisted link, only constant maps in;
-    # such a site is a component with no links out, and its own root
-    free = [x for k, x in enumerate(roots)
-            if not out_links[k] and all(constant[m] for m, _ in into.get(x, ()))]
+    # free: only sink links into it, if any; such a site is a component with
+    # no links out, and its own root (never the sink site, which has links in)
+    free = [x for k, x in enumerate(roots) if not out_links[k] and x not in into]
     free_set = set(free)
 
     # rational weight per component and class: (|G|/|C|)^(links out - sites),
@@ -170,17 +173,15 @@ def count_general(G: FiniteGroup,
     exponents = [out_links[k] - sites[k] for k in range(len(roots))]
     row_of = {e: [Fraction(G.order, size) ** e for size in sizes] for e in set(exponents)}
     weight = [row_of[e] for e in exponents]
-    # one 0/1 factor per twisted head, over its component (none for a free
-    # head, whose constant maps ignore its class) and its tails' components:
-    # head class C admits exactly the tail class cmaps[m][C] under map m;
-    # equal factors are kept once, in first-seen order
+    # one 0/1 factor per twisted head, over its component and its tails'
+    # components: head class C admits exactly the tail class cmaps[m][C] under
+    # map m; equal factors are kept once, in first-seen order
     factors: list[tuple[tuple[int, ...], dict]] = []
-    for head, pairs in dict.fromkeys((None if x in free_set else labels[x], frozenset(pairs))
-                                     for x, pairs in into.items()):
-        scope = tuple(sorted({k for _, k in pairs} | ({head} if head is not None else set())))
+    for head, pairs in dict.fromkeys((labels[x], frozenset(pairs)) for x, pairs in into.items()):
+        scope = tuple(sorted({head} | {k for _, k in pairs}))
         table = {}
         for c in range(n_cls):
-            at = {} if head is None else {head: c}
+            at = {head: c}
             if all(at.setdefault(k, cmaps[m][c]) == cmaps[m][c] for m, k in pairs):
                 table[tuple(at[v] for v in scope)] = 1
         if len(scope) == 1:
@@ -266,8 +267,8 @@ def count_general(G: FiniteGroup,
     total = int(total_cyc.rational_value())
 
     # alpha(C): whether every non-constant map keeps C in place
-    alpha = tuple(int(all(cmaps[m][c] == c for m in proper))
-                  for c in range(n_cls)) if proper else None
+    alpha = tuple(int(all(cmap[c] == c for cmap in cmaps))
+                  for c in range(n_cls)) if cmaps else None
 
     return CountReport(
         total=total,
@@ -277,9 +278,8 @@ def count_general(G: FiniteGroup,
         edge_count=E,
         bulk_site_count=V - len(free),
         free_sites=tuple(free),
-        twist_kind="proper" if proper else "sink" if cmaps else "none",
-        twisted_head_count=sum(any(not constant[m] for m, _ in pairs)
-                               for pairs in into.values()),
+        twist_kind="proper" if cmaps else "sink" if sink else "none",
+        twisted_head_count=len(into),
         class_sizes=classes.sizes,
         per_class=tuple(per_class),
         alpha=alpha,

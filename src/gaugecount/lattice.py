@@ -9,6 +9,7 @@ endomorphism on twisted links.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Iterable, Mapping, Optional, Sequence
@@ -74,6 +75,8 @@ def lattice_hypercubic(dims: Sequence[int],
     if len(periodic) != d:
         raise BadDims(f"{len(periodic)} periodicity flags for {d} dimensions")
     volume = math.prod(dims)
+    if d * volume > sys.maxsize:  # refused before anything is allocated
+        raise BadDims(f"a lattice of {volume} sites is too large to index")
     strides = [math.prod(dims[k + 1:]) for k in range(d)]
     # slot x*d + k: site x's link along dimension k (None past an open end);
     # per block of s*n sites, all but the last s step s forward, those wrap

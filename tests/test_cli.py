@@ -750,6 +750,19 @@ def test_input_too_large_for_memory_exits_2(tmp_path, capsys, case):
         "error: MemoryError: the input is too large to hold in memory\n")
 
 
+# a volume whose link slots pass sys.maxsize is refused before the list-size check
+@pytest.mark.parametrize("case", ["config_dims", "lattice_make"])
+def test_dims_too_large_to_index_exit_2(tmp_path, capsys, case):
+    huge = 10 ** 30
+    cfg = write_config(tmp_path, {"group": {"family": "cyclic", "params": [2]},
+                                  "lattice": {"dims": [huge]}})
+    argv = (["lattice-make", "--dims", str(huge)] if case == "lattice_make"
+            else ["count", "--config", cfg])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: BadDims: ") and err.count("\n") == 1
+
+
 BASE_JOB = {"group": {"family": "cyclic", "params": [4]}, "lattice": {"dims": [2]}}
 
 

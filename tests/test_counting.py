@@ -245,6 +245,26 @@ def test_twisted_self_loop_warns():
     assert any("self-loop" in w for w in r.warnings)
 
 
+def test_sink_links_keep_their_report_fields():
+    # sink links are counted through a sink site, yet the report still reads
+    # the input maps and the physical sites, and a sink self-loop still warns
+    D4 = dihedral_group(4)
+    L = LatticeGraph(3, ((0, 0), (0, 1), (1, 1), (1, 2), (2, 0)))
+    sink = constant_identity_endo(D4)
+    tw = TwistSpec({0: sink, 1: identity_endo(D4), 2: inner_automorphism(D4, 1), 4: sink})
+    fermions = FermionMatter((dihedral_rotation_rep(D4, 4),))
+    r = count(D4, L, fermions, twist=tw)
+    assert r.total == oracle_count(D4, L, fermions, twist=tw) == 4096
+    assert r.twist_kind == "proper" and r.twisted_head_count == 1 and r.free_sites == ()
+    assert r.warnings == ("identity twist normalized to untwisted links",
+                          "twisted link 0 is a self-loop", "twisted link 2 is a self-loop")
+    loop = LatticeGraph(2, ((0, 0),))
+    r = count(D4, loop, PureGauge(), twist=TwistSpec({0: sink}))
+    assert r.total == 1 and r.twist_kind == "sink"
+    assert r.free_sites == (1,) and r.bulk_site_count == 1
+    assert r.warnings == ("twisted link 0 is a self-loop",)
+
+
 def test_disconnected_bulk_matches_oracle():
     # both sites are constrained, each in its own untwisted component
     Z4 = cyclic_group(4)

@@ -13,7 +13,11 @@ gives the same total for both:
 - an inner-automorphism coboundary: site x moved by c_{k_x} turns each
   link's map phi into c_{k_t} o phi o c_{k_x}^-1, which induces the same
   class map, so it counts as the untouched twist (as no twist when there
-  was none).
+  was none);
+- sink links as a site: a dangling boundary counts as the untwisted links
+  from its attach sites into one new site carrying the regular character;
+- products: untwisted pure gauge over a direct product G x H counts as the
+  product of the counts over G and over H.
 """
 
 import functools
@@ -27,20 +31,25 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from gaugecount import (  # noqa: E402
+    FermionMatter,
     GroupEndomorphism,
     LatticeGraph,
+    PureGauge,
     TwistSpec,
     action_coset,
+    action_left_mult,
     action_product,
     binary_tetrahedral_group,
     conjugacy_classes,
     constant_class_function,
     constant_identity_endo,
+    count,
     count_general,
     cyclic_group,
     dangling_boundary_extension,
     dihedral_group,
     dihedral_rotation_rep,
+    direct_product,
     enumerate_automorphisms,
     fermion_site_character,
     first_proper_subgroup,
@@ -51,6 +60,7 @@ from gaugecount import (  # noqa: E402
     one_dim_to_rep,
     permutation_rep,
     quaternion_group,
+    site_characters,
     su2_fundamental_rep,
     symmetric_group,
     zn_charge_rep,
@@ -198,3 +208,43 @@ def test_inner_coboundary_keeps_the_count(name, data):
         if phi.image != identity.image:
             new_maps[i] = phi
     assert _total(name, L, chars, new_maps) == _total(name, L, chars, maps)
+
+
+@functools.lru_cache(maxsize=None)
+def _sink_case(name):
+    """(group, class table, matter) of a sink-relation case."""
+    if name == "S4":
+        G = symmetric_group(4)
+        return G, conjugacy_classes(G), PureGauge()
+    G = binary_tetrahedral_group() if name == "2T" else dihedral_group(4)
+    rep = su2_fundamental_rep(G) if name == "2T" else dihedral_rotation_rep(G, 4)
+    return G, conjugacy_classes(G), FermionMatter((rep,))
+
+
+@pytest.mark.parametrize("name", ("2T", "D4", "S4"))
+@pytest.mark.parametrize("side", (2, 4))
+@settings(derandomize=True, max_examples=10, deadline=None, database=None)
+@given(data=st.data())
+def test_sink_links_count_as_untwisted_links_into_a_regular_site(name, side, data):
+    G, cls, matter = _sink_case(name)
+    L = lattice_hypercubic((side, side), False)
+    V = L.site_count
+    attach = data.draw(st.lists(st.integers(0, V - 1), min_size=1, max_size=V, unique=True))
+    extended = LatticeGraph(V + 1, L.edges + tuple((a, V) for a in attach))
+    # the regular character: the fixed points of G acting on itself
+    chars = site_characters(matter, cls, V) + [fixed_point_character(action_left_mult(G), cls)]
+    assert count_general(G, cls, extended, chars).total == \
+        count(G, L, matter, dangling_attach=attach, classes=cls).total
+
+
+@pytest.mark.parametrize("factors", [
+    (lambda: cyclic_group(2), lambda: symmetric_group(3)),
+    (quaternion_group, lambda: cyclic_group(3)),
+    (lambda: dihedral_group(4), lambda: cyclic_group(2)),
+], ids=["Z2xS3", "Q8xZ3", "D4xZ2"])
+def test_pure_gauge_over_a_direct_product_counts_as_the_product(factors):
+    G, H = (make() for make in factors)
+    for L in (lattice_hypercubic((3,)), lattice_hypercubic((2, 2)),
+              LatticeGraph(3, ((0, 1), (1, 2), (2, 0), (0, 1), (2, 2)))):
+        assert count(direct_product(G, H), L, PureGauge()).total == \
+            count(G, L, PureGauge()).total * count(H, L, PureGauge()).total
