@@ -5,11 +5,17 @@ generator) pair, which forces it everywhere; `is_endomorphism` goes
 through it.  The automorphism search is the generator-image method
 (Holt, Eick & O'Brien, Handbook of Computational Group Theory): it tries
 images of the group's stored generators, filtered by element order
-and by centralizer size from the class table, rejects a candidate that
-changes the order of a product of two generators, builds each remaining
-map along the generator tree by table lookups, and checks f(x*s) =
-f(x)*f(s) for every x and generator s at once, as the permutation
-equation f o col_s == col_f(s) o f on the table's columns.  The search
+and by centralizer size from the class table, and rejects a candidate that
+changes the order of a product of two generators.  Conjugating every image
+by one element maps automorphisms onto automorphisms, so each remaining
+candidate is decided once per inner orbit: its key is its images conjugated
+by the first element that sends its first image to that image's class
+representative.  A key's map is built along the generator tree by table
+lookups and checked on the left, f(s*x) = f(s)*f(x) for every x and
+generator s at once, as the permutation equation f o row_s == row_f(s) o f
+on the table's rows; no transposed table is made.  The search hands each
+automorphism to its caller: `enumerate_automorphisms` collects and sorts
+them, `analyze_automorphisms` keeps only what it reports.  The search
 budget caps the weighted work; an exhausted budget marks the result
 incomplete rather than raising.
 """
@@ -17,10 +23,12 @@ incomplete rather than raising.
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import (
     BadParams,
@@ -33,6 +41,7 @@ from .errors import (
 from .groups import (
     ConjugacyClassTable,
     FiniteGroup,
+    compose_maps,
     conjugacy_classes,
     law_break,
     same_group,
@@ -138,24 +147,21 @@ class AutomorphismSearch:
     work: int
 
 
-def enumerate_automorphisms(G: FiniteGroup,
-                            budget: int = DEFAULT_AUT_BUDGET) -> AutomorphismSearch:
-    """All automorphisms (deterministic order); incomplete when budget runs out.
+def _search(G: FiniteGroup, classes: ConjugacyClassTable, budget: int,
+            visit: Callable[[tuple[int, ...]], object]) -> tuple[bool, int]:
+    """Hand each automorphism's image table to `visit`; return (complete, work).
 
     Each candidate assigns every generator an element of the same order and
     centralizer size, and costs `leaf_cost` work whether or not it is
-    rejected.  A candidate that changes the order of a product of two
-    generators is rejected at once; any other is extended along
-    `G.generator_tree` by table lookups and kept when it is multiplicative,
-    f o col_s == col_t o f for every generator s and its image t, and
-    bijective.
+    rejected.  The candidates of one inner orbit share the decision on its
+    key, whose first image is a class representative; a key is kept when
+    its map is multiplicative, f o row_s == row_t o f for every generator s
+    and its image t, and bijective.
     """
-    n = G.order
-    gens = G.generators
+    n, gens, t = G.order, G.generators, G.mul_table
     if not gens:  # trivial group
-        return AutomorphismSearch((identity_endo(G),), True, 1)
-    t = G.mul_table
-    classes = conjugacy_classes(G)
+        visit((G.identity,))
+        return True, 1
     orders = [G.element_order(x) for x in range(n)]
     cents = [classes.centralizer_sizes[c] for c in classes.class_of]
     candidates = [
@@ -164,32 +170,63 @@ def enumerate_automorphisms(G: FiniteGroup,
     ]
     pairs = [(a, b, orders[t[gens[a]][gens[b]]])
              for a in range(len(gens)) for b in range(a + 1, len(gens))]
-    cols = tuple(zip(*t))  # cols[s][x] = x * s
-    right = [itemgetter(*cols[s]) for s in gens]  # f -> f o col_s
-    steps = G.generator_tree
+    left = [itemgetter(*t[s]) for s in gens]  # f -> f o row_s
     leaf_cost = n * (len(gens) + 1)
-    work = 0
-    complete = True
-    found: list[tuple[int, ...]] = []
-    for images in itertools.product(*candidates):
-        if work + leaf_cost > budget:
-            complete = False
-            break
-        work += leaf_cost
-        if any(orders[t[images[a]][images[b]]] != k for a, b, k in pairs):
-            continue
+
+    def decide(images):
         f = [G.identity] * n
-        for y, x, i in steps:
+        for y, x, i in G.generator_tree:
             f[y] = t[f[x]][images[i]]
         # at x = identity this also checks f(s) == image for a generator s
         # that is repeated or the identity, which the tree never steps by
-        after_f = itemgetter(*f)  # h -> h o f
-        if all(r(f) == after_f(cols[img]) for r, img in zip(right, images)) \
+        after_f = itemgetter(*f)  # m -> m o f
+        if all(lf(f) == after_f(t[img]) for lf, img in zip(left, images)) \
                 and len(set(f)) == n:
-            found.append(tuple(f))
+            return tuple(f)
+        return None
+
+    # a key is looked up again only when the budget reaches the block of
+    # candidates of a second first image in its class: only such keys are kept
+    reach = -(-max(budget // leaf_cost, 0) // math.prod(map(len, candidates[1:])))
+    seen = Counter(classes.class_of[a] for a in candidates[0][:reach])
+    reused = {c for c, m in seen.items() if m > 1}
+    decided = {}  # key -> its map, or None when it is no automorphism
+    work = 0
+    first = rep = None
+    for images in itertools.product(*candidates):
+        if work + leaf_cost > budget:
+            return False, work
+        work += leaf_cost
+        if any(orders[t[images[a]][images[b]]] != k for a, b, k in pairs):
+            continue
+        if images[0] != first:  # a conjugator only for first images the budget reaches
+            first = images[0]
+            rep = classes.reps[classes.class_of[first]]
+            if first != rep:
+                h = next(h for h in range(n) if t[t[h][first]][G.inv_table[h]] == rep)
+                hinv = G.inv_table[h]
+                undo = tuple(t[t[hinv][x]][h] for x in range(n))  # x -> h^-1 x h
+        if first == rep:
+            f = decide(images)
+            if classes.class_of[rep] in reused:
+                decided[images] = f
+        else:
+            f = decided[tuple(t[t[h][x]][hinv] for x in images)]
+            if f is not None:
+                f = compose_maps(undo, f)
+        if f is not None:
+            visit(f)
+    return True, work
+
+
+def enumerate_automorphisms(G: FiniteGroup,
+                            budget: int = DEFAULT_AUT_BUDGET) -> AutomorphismSearch:
+    """All automorphisms (deterministic order); incomplete when budget runs out."""
+    found: list[tuple[int, ...]] = []
+    complete, work = _search(G, conjugacy_classes(G), budget, found.append)
     found.sort()
-    autos = tuple(GroupEndomorphism(G, m) for m in found)
-    return AutomorphismSearch(autos, complete, work)
+    return AutomorphismSearch(tuple(GroupEndomorphism(G, m) for m in found),
+                              complete, work)
 
 
 @dataclass(frozen=True)
@@ -215,38 +252,36 @@ def analyze_automorphisms(G: FiniteGroup,
     quasi_ambivalent is True when some involutory automorphism inverts every
     class (such a map is a charge conjugation), False when the complete
     enumeration rules one out, None when the search was truncated before
-    finding one.
+    finding one.  The witness is the smallest class-inverting image table.
     """
     if not same_group(G, classes.group):
         raise GroupMismatch("group and class table disagree")
-    search = enumerate_automorphisms(G, budget)
-    ambiv = is_ambivalent(classes)
-    witness = None
-    conjugations = []
-    # the enumeration yields only automorphisms of G, so no bijectivity check
-    for phi in search.automorphisms:
-        if class_image(phi, classes) == classes.inverse_class:
-            if witness is None:
-                witness = phi
-            if is_involutory(phi):
-                conjugations.append(phi)
-    if conjugations:
-        quasi: Optional[bool] = True
-    elif search.complete:
-        quasi = False
-    else:
-        quasi = None
+    identity = tuple(range(G.order))
+    count, witness, conjugations = 0, None, []
+
+    def visit(f):
+        nonlocal count, witness
+        count += 1
+        # the search yields only automorphisms of G, so no bijectivity check
+        if compose_maps(classes.class_of, compose_maps(f, classes.reps)) \
+                == classes.inverse_class:
+            witness = f if witness is None else min(witness, f)
+            if compose_maps(f, f) == identity:
+                conjugations.append(f)
+
+    complete, _ = _search(G, classes, budget, visit)
+    conjugations.sort()
     inner = G.order // classes.sizes.count(1)  # the centre: the one-element classes
     return AutReport(
         group_name=G.name,
-        aut_order=len(search.automorphisms),
+        aut_order=count,
         inner_order=inner,
-        outer_order=(len(search.automorphisms) // inner if search.complete else 0),
-        ambivalent=ambiv,
-        quasi_ambivalent=quasi,
-        class_inverting_witness=witness,
-        charge_conjugations=tuple(conjugations),
-        complete=search.complete,
+        outer_order=(count // inner if complete else 0),
+        ambivalent=is_ambivalent(classes),
+        quasi_ambivalent=True if conjugations else (False if complete else None),
+        class_inverting_witness=witness and GroupEndomorphism(G, witness),
+        charge_conjugations=tuple(GroupEndomorphism(G, m) for m in conjugations),
+        complete=complete,
     )
 
 

@@ -93,14 +93,16 @@ def same_group(a: FiniteGroup, b: FiniteGroup) -> bool:
 def law_break(G: FiniteGroup, f: Sequence, op: Callable) -> Optional[tuple[int, int]]:
     """First (x, s) with f[x*s] != op(f[x], f[s]), or None when there is none.
 
-    s runs over G.generators and the identity, x over all of G.  The s that
-    pass for every x are closed under products, and the generators generate
-    G, so this accepts exactly the maps that pass on all pairs: for an
-    associative op that is multiplicativity, and for f = the table's rows
-    under `compose_maps` it is Light's associativity test.
+    s runs over G.generators, x over all of G.  The s that pass for every x
+    are closed under products, and the generators generate G, so this
+    accepts exactly the maps that pass on all pairs: for an associative op
+    that is multiplicativity, and for f = the table's rows under
+    `compose_maps` it is Light's associativity test.  The identity needs no
+    pass of its own, being a power of any generator; a group without
+    generators is trivial, and s runs over its identity alone.
     """
     t = G.mul_table
-    for s in G.generators + (G.identity,):
+    for s in G.generators or (G.identity,):
         fs = f[s]
         for x in range(G.order):
             if f[t[x][s]] != op(f[x], fs):
@@ -270,16 +272,18 @@ def _build_from_generators(gens, mul, max_order, labeler, name):
     if not gens:
         return trivial_group(), [None]
     elems, index, parent, gen_cols = _generated_elements(gens, mul, max_order)
-    n = len(elems)
-    # remaining columns by parent decomposition: y = p * g implies
-    # x*y = (x*p)*g, so col_y[x] = gen_col_g[col_p[x]]
-    cols: list[Sequence[int]] = [range(n)]
-    for p, gi in parent[1:]:  # parents precede their children
-        cols.append(compose_maps(gen_cols[gi], cols[p]))
-    table = tuple(zip(*cols))
-    labels = tuple(labeler(x) for x in elems)
     gen_idx = tuple(index[g] for g in gens)
-    return group_from_table(table, labels, gen_idx, name), elems
+    # parents precede their children, and y = p * s gives g*y = (g*p)*s for
+    # each generator g, then y*z = p*(s*z) for every row
+    gen_rows = [[g] for g in gen_idx]
+    for p, si in parent[1:]:
+        for row in gen_rows:
+            row.append(gen_cols[si][row[p]])
+    rows = [tuple(range(len(elems)))]
+    for p, si in parent[1:]:
+        rows.append(compose_maps(rows[p], gen_rows[si]))
+    labels = tuple(labeler(x) for x in elems)
+    return group_from_table(rows, labels, gen_idx, name), elems
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Endomorphisms, automorphism enumeration, ambivalence, symmetry checks."""
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,8 @@ from gaugecount import (
     NotAnAutomorphism,
     ParseError,
     analyze_automorphisms,
+    binary_icosahedral_group,
+    binary_octahedral_group,
     binary_tetrahedral_group,
     builtin_group,
     center,
@@ -177,6 +180,104 @@ def test_enumeration_matches_all_pairs_reference():
             expected = _reference_search(G, budget)
             assert ([phi.image for phi in search.automorphisms], search.complete,
                     search.work) == expected, (G.name, budget)
+
+
+def _per_candidate_search(G, budget):
+    """The search deciding every candidate on its own, with the
+    right-multiplication check f o col_s == col_t o f on the transposed
+    table: (sorted images, complete, work)."""
+    n, gens, t = G.order, G.generators, G.mul_table
+    if not gens:
+        return [tuple(range(n))], True, 1
+    classes = conjugacy_classes(G)
+    orders = [G.element_order(x) for x in range(n)]
+    cents = [classes.centralizer_sizes[c] for c in classes.class_of]
+    candidates = [[x for x in range(n) if (orders[x], cents[x]) == (orders[g], cents[g])]
+                  for g in gens]
+    pairs = [(a, b, orders[t[gens[a]][gens[b]]])
+             for a, b in itertools.combinations(range(len(gens)), 2)]
+    cols = tuple(zip(*t))  # cols[s][x] = x * s
+    leaf_cost = n * (len(gens) + 1)
+    work, found = 0, []
+    for images in itertools.product(*candidates):
+        if work + leaf_cost > budget:
+            return sorted(found), False, work
+        work += leaf_cost
+        if any(orders[t[images[a]][images[b]]] != k for a, b, k in pairs):
+            continue
+        f = [G.identity] * n
+        for y, x, i in G.generator_tree:
+            f[y] = t[f[x]][images[i]]
+        if all([f[y] for y in cols[s]] == [cols[img][v] for v in f]
+               for s, img in zip(gens, images)) and len(set(f)) == n:
+            found.append(tuple(f))
+    return sorted(found), True, work
+
+
+def _frobenius_21():
+    """Z7 x| Z3 with (a, b)(c, d) = (a + 2^b c, b + d), read from its table."""
+    elems = [(a, b) for b in range(3) for a in range(7)]
+    index = {x: i for i, x in enumerate(elems)}
+    table = [[index[((a + 2 ** b * c) % 7, (b + d) % 3)] for c, d in elems] for a, b in elems]
+    return group_from_table(table, name="F21")
+
+
+def test_orbit_decided_search_matches_per_candidate_search():
+    """Deciding one key per inner orbit finds the same automorphisms,
+    completeness and work as deciding every candidate, and the streamed
+    analysis reads the same report off them, at full and truncating budgets."""
+    Z2, Z3 = cyclic_group(2), cyclic_group(3)
+    groups = [symmetric_group(k) for k in range(2, 7)]
+    groups += [dihedral_group(k) for k in (4, 6, 12)]
+    groups += [cyclic_group(k) for k in (1, 2, 7, 12)]
+    groups += [group_from_table([[0]], generators=(0,), name="Z1 on its identity"),
+               quaternion_group(), binary_tetrahedral_group(), binary_octahedral_group(),
+               binary_icosahedral_group(), direct_product(Z2, symmetric_group(3)),
+               direct_product(quaternion_group(), Z3), direct_product(Z2, Z2), _frobenius_21()]
+    for G in groups:
+        classes = conjugacy_classes(G)
+        inner = G.order // center(G).order
+        leaf_cost = G.order * (len(G.generators) + 1)
+        for budget in (leaf_cost, 7 * leaf_cost, 100 * leaf_cost, 4629 * leaf_cost,
+                       10**7, 10**9):
+            images, complete, work = _per_candidate_search(G, budget)
+            search = enumerate_automorphisms(G, budget)
+            assert ([phi.image for phi in search.automorphisms], search.complete,
+                    search.work) == (images, complete, work), (G.name, budget)
+            inverting = [f for f in images if classes.inverse_class
+                         == tuple(classes.class_of[f[r]] for r in classes.reps)]
+            involutions = [f for f in inverting if all(f[f[x]] == x for x in range(G.order))]
+            rep = analyze_automorphisms(G, classes, budget)
+            assert (rep.aut_order, rep.inner_order, rep.outer_order, rep.ambivalent,
+                    rep.quasi_ambivalent, rep.complete) == (
+                len(images), inner, len(images) // inner if complete else 0,
+                is_ambivalent(classes), True if involutions else (False if complete else None),
+                complete), (G.name, budget)
+            witness = rep.class_inverting_witness
+            assert (witness and witness.image) == (inverting[0] if inverting else None)
+            assert [phi.image for phi in rep.charge_conjugations] == involutions
+
+
+def test_analyze_trivial_group():
+    for G in (trivial_group(), group_from_table([[0]], generators=(0,))):
+        rep = analyze_automorphisms(G, conjugacy_classes(G))
+        assert (rep.aut_order, rep.quasi_ambivalent, rep.class_inverting_witness.image,
+                len(rep.charge_conjugations)) == (1, True, (0,), 1)
+
+
+def test_analysis_streams_the_automorphisms():
+    """S6's analysis holds no table per automorphism, nor a transposed table:
+    its traced memory rises by at most half of 1.5 tables of 8-byte cells."""
+    G = symmetric_group(6)
+    classes = conjugacy_classes(G)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        analyze_automorphisms(G, classes)
+        rise = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert rise <= 0.5 * 1.5 * G.order ** 2 * 8
 
 
 def test_analyze_cyclic():

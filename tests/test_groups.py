@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -431,6 +432,30 @@ def test_build_from_generators():
     assert not G.is_abelian()
     with pytest.raises(ClosureOverflow):
         build_from_generators([(1, 0, 2), (1, 2, 0)], mul, max_order=4)
+
+
+def test_closure_rows_are_the_products():
+    """Rows built along the closure's parent links hold every product."""
+    def mul(p, q):
+        return tuple(p[q[x]] for x in range(4))
+
+    G = build_from_generators([(1, 0, 2, 3), (1, 2, 3, 0), (0, 1, 3, 2)], mul, labeler=tuple)
+    index = {x: i for i, x in enumerate(G.labels)}
+    assert G.order == 24
+    assert all(G.mul_table[a][b] == index[mul(x, y)]
+               for a, x in enumerate(G.labels) for b, y in enumerate(G.labels))
+
+
+def test_symmetric_six_builds_within_one_and_a_half_tables():
+    """The closure holds one table of rows and no transposed copy: S6's
+    traced peak stays within 1.5 tables of 8-byte cells."""
+    tracemalloc.start()
+    try:
+        symmetric_group.__wrapped__(6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 720 ** 2 * 8
 
 
 def test_cyclic_bounds():
