@@ -25,8 +25,8 @@ lowest-numbered constrained site, whose classes give the per-class breakdown.
 The cost follows distinct characters and nonzero entries, not sites or class
 tuples: sites with equal character values share one power, and elimination
 joins only the nonzero entries of the tables it sums out.  Per site and link
-the work is one union-find pass over the untwisted links and a few passes
-over the component labels it returns.
+the work is one union-find pass over the untwisted links, zipped from the
+lattice's tail and head tuples, and a few passes over the labels it returns.
 
 The result must come out a nonnegative integer; anything else raises
 NonIntegralResult with the failed witness attached.  The site characters
@@ -105,7 +105,7 @@ def count_general(G: FiniteGroup,
     """
     if not same_group(G, classes.group):
         raise GroupMismatch("group and class table disagree")
-    V, E = L.site_count, L.edge_count
+    V, E, tails, heads = L.site_count, L.edge_count, L.tails, L.heads
     # the twist as data: each distinct map, interned by its image, is read once
     # as a class map; identity maps leave their links untwisted, and a sink
     # link t -> x (constant map) becomes the untwisted link t -> V, V the sink site
@@ -131,7 +131,7 @@ def count_general(G: FiniteGroup,
     if len(map_of) + len(sink) < len(maps):
         warnings.append("identity twist normalized to untwisted links")
     warnings += [f"twisted link {i} is a self-loop" for i in sorted(sink | map_of.keys())
-                 if L.edges[i][0] == L.edges[i][1]]
+                 if tails[i] == heads[i]]
 
     n_cls, sizes = classes.n_classes, classes.sizes
     chars = list(site_chars)
@@ -149,18 +149,18 @@ def count_general(G: FiniteGroup,
             raise GroupMismatch("site character lives over a different group")
         same[key] = by_value.setdefault(tuple((v.order, v.num, v.den) for v in ch.values), ch)
 
-    untwisted = [(e[0], V) if i in sink else e for i, e in enumerate(L.edges)
-                 if i not in map_of] if map_of or sink else L.edges
+    # untwisted links: sink links lead into the sink site V, and mapped links are left out
+    untwisted = ((t, V if i in sink else h) for i, (t, h) in enumerate(zip(tails, heads))
+                 if i not in map_of) if map_of or sink else zip(tails, heads)
     labels, roots = component_labels(len(chars), untwisted)
     multiplicity = [defaultdict(int) for _ in roots]  # id of first equal character -> sites
     for (k, key), m in Counter(zip(labels, map(id, chars))).items():
         multiplicity[k][id(same[key])] += m
     sites = [sum(mult.values()) for mult in multiplicity]
-    out_links = Counter([labels[t] for t, _ in L.edges])  # links out of each component
+    out_links = Counter(map(labels.__getitem__, tails))  # links out of each component
     into: dict[int, set[tuple[int, int]]] = {}  # head site -> (map, tail component)
     for i, m in map_of.items():
-        t, h = L.edges[i]
-        into.setdefault(h, set()).add((m, labels[t]))
+        into.setdefault(heads[i], set()).add((m, labels[tails[i]]))
     # free: only sink links into it, if any; such a site is a component with
     # no links out, and its own root (never the sink site, which has links in)
     free = [x for k, x in enumerate(roots) if not out_links[k] and x not in into]

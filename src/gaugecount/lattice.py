@@ -1,17 +1,19 @@
 """Lattice graphs: sites, directed links, twists, and dangling boundaries.
 
-A lattice is an arbitrary multigraph.  Each link is a directed pair
-(tail, head); a gauge transformation acts on the link variable as
+A lattice is an arbitrary multigraph.  Link i is directed from tails[i] to
+heads[i]; a gauge transformation acts on the link variable as
 g -> g_tail . g . g_head^-1, with the head factor routed through the twist
-endomorphism on twisted links.
+endomorphism on twisted links.  `edges` zips the two tuples into pairs on first use.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import compress, repeat, zip_longest
+from operator import is_not, itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .autos import GroupEndomorphism, constant_identity_endo, is_endomorphism
@@ -22,35 +24,59 @@ from .textio import read_ints, read_records, write_records
 Edge = tuple[int, int]
 
 
-@dataclass(frozen=True)
+def _check_links(n: int, links: Iterable) -> None:
+    """Raise BadParams naming the first link that is not a pair of sites 0..n-1."""
+    if n < 0:
+        raise BadParams(f"negative site count {n}")
+    for i, link in enumerate(links):
+        try:  # t | h < 0 iff an endpoint is; an error unless link is an integer pair
+            t, h = link
+            if 0 <= t | h and t < n and h < n:
+                continue
+            bad = "endpoint out of range"
+        except (TypeError, ValueError):
+            bad = ("endpoint is not an integer"
+                   if isinstance(link, Sequence) and len(link) == 2 else "is not a pair")
+        raise BadParams(f"link {i} {bad}: {link!r}")
+
+
+@dataclass(frozen=True, init=False)
 class LatticeGraph:
-    """Sites 0..site_count-1 and directed links; parallel links and loops allowed."""
+    """Sites 0..site_count-1 and directed links, link i from tails[i] to heads[i];
+    parallel links and loops allowed.  Built from (tail, head) pairs, each checked."""
 
     site_count: int
-    edges: tuple[Edge, ...]
+    tails: tuple[int, ...]
+    heads: tuple[int, ...]
     name: str = field(default="", compare=False)
     # per-dimension wraparound link indices for hypercubic lattices
     wrap_edges: tuple[tuple[int, ...], ...] = field(default=(), compare=False)
 
-    def __post_init__(self):
-        if self.site_count < 0:
-            raise BadParams(f"negative site count {self.site_count}")
-        n = self.site_count
-        for link in self.edges:
-            try:  # t | h < 0 iff an endpoint is; an error unless link is an integer pair
-                t, h = link
-                if 0 <= t | h and t < n and h < n:
-                    continue
-                bad = "endpoint out of range"
-            except (TypeError, ValueError):
-                bad = ("endpoint is not an integer"
-                       if isinstance(link, Sequence) and len(link) == 2 else "is not a pair")
-            i = next(i for i, x in enumerate(self.edges) if x is link)
-            raise BadParams(f"link {i} {bad}: {link!r}")
+    def __init__(self, site_count: int, edges: Iterable[Edge] = (), name: str = "",
+                 wrap_edges: tuple[tuple[int, ...], ...] = ()):
+        edges = tuple(edges)
+        _check_links(site_count, edges)
+        self.__dict__.update(site_count=site_count, tails=tuple(map(itemgetter(0), edges)),
+                             heads=tuple(map(itemgetter(1), edges)), name=name,
+                             wrap_edges=wrap_edges)
+
+    @classmethod
+    def _from_ends(cls, n: int, tails: Sequence[int], heads: Sequence[int], name: str = "",
+                   wrap_edges=()) -> LatticeGraph:
+        """Link i from tails[i] to heads[i], checked as the pair constructor checks
+        them, without keeping the pairs."""
+        _check_links(n, zip_longest(tails, heads))
+        L = cls(n, (), name, wrap_edges)
+        L.__dict__.update(tails=tuple(tails), heads=tuple(heads))
+        return L
+
+    @functools.cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        return tuple(zip(self.tails, self.heads))
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.tails)
 
 
 def lattice_chain(n_sites: int, periodic: bool = False) -> LatticeGraph:
@@ -78,16 +104,21 @@ def lattice_hypercubic(dims: Sequence[int],
     if d * volume > sys.maxsize:  # refused before anything is allocated
         raise BadDims(f"a lattice of {volume} sites is too large to index")
     strides = [math.prod(dims[k + 1:]) for k in range(d)]
-    # slot x*d + k: site x's link along dimension k (None past an open end);
-    # per block of s*n sites, all but the last s step s forward, those wrap
-    slots: list = [None] * (d * volume)
+    # slot x*d + k: site x's link along dimension k, its head None past an
+    # open end; per block of s*n sites, all but the last s step s forward,
+    # those wrap.  Every end is taken from `site`, so equal ends share one int
+    site = list(range(volume))
+    tails, heads = [None] * (d * volume), [None] * (d * volume)
     for k, (s, n) in enumerate(zip(strides, dims)):
         column: list = []
         for b in range(0, volume, s * n):
-            last, top = b + s * (n - 1), b + s * n
-            column += zip(range(b, last), range(b + s, top))
-            column += zip(range(last, top), range(b, b + s)) if periodic[k] else repeat(None, s)
-        slots[k::d] = column
+            column += site[b + s:b + s * n]
+            column += site[b:b + s] if periodic[k] else repeat(None, s)
+        tails[k::d] = site
+        heads[k::d] = column
+    if not all(periodic):
+        keep = list(map(is_not, heads, repeat(None)))
+        tails, heads = compress(tails, keep), compress(heads, keep)
 
     def link_index(x: int, k: int) -> int:
         # slot x*d + k less the None slots before it: per open dimension j,
@@ -100,8 +131,8 @@ def lattice_hypercubic(dims: Sequence[int],
                   for k, (s, n) in enumerate(zip(strides, dims)))
     name = "x".join(map(str, dims))
     tags = "".join("p" if p else "o" for p in periodic)
-    return LatticeGraph(volume, tuple(filter(None, slots)), name=f"hyper{name}_{tags}",
-                        wrap_edges=wraps)
+    return LatticeGraph._from_ends(volume, tuple(tails), tuple(heads),
+                                   f"hyper{name}_{tags}", wraps)
 
 
 def component_labels(site_count: int, edges: Iterable[Edge]) -> tuple[list[int], list[int]]:
@@ -172,14 +203,15 @@ def dangling_boundary_extension(L: LatticeGraph, attach_sites: Sequence[int],
     if not attach_sites:
         return L, TwistSpec(maps)
     for s in attach_sites:
+        if not isinstance(s, int):
+            raise BadParams(f"attach site {s!r} is not an integer")
         if not 0 <= s < L.site_count:
             raise BadParams(f"attach site {s} out of range")
-    virtual = L.site_count
-    new_edges = L.edges + tuple((s, virtual) for s in attach_sites)
-    L2 = LatticeGraph(L.site_count + 1, new_edges,
-                      name=(L.name + "_dangling") if L.name else "dangling",
-                      wrap_edges=L.wrap_edges)
-    maps.update(dict.fromkeys(range(L.edge_count, len(new_edges)), constant_identity_endo(G)))
+    virtual, E = L.site_count, L.edge_count
+    L2 = LatticeGraph._from_ends(
+        virtual + 1, L.tails + tuple(attach_sites), L.heads + (virtual,) * len(attach_sites),
+        (L.name + "_dangling") if L.name else "dangling", L.wrap_edges)
+    maps.update(dict.fromkeys(range(E, L2.edge_count), constant_identity_endo(G)))
     return L2, TwistSpec(maps)
 
 
@@ -189,21 +221,21 @@ def dangling_boundary_extension(L: LatticeGraph, attach_sites: Sequence[int],
 def emit_edge_list(L: LatticeGraph, twisted: frozenset[int] = frozenset()) -> str:
     return write_records("lattice", (L.site_count,),
                          ((t, h, "twisted") if i in twisted else (t, h)
-                          for i, (t, h) in enumerate(L.edges)))
+                          for i, (t, h) in enumerate(zip(L.tails, L.heads))))
 
 
 def parse_edge_list(text: str) -> tuple[LatticeGraph, frozenset[int]]:
     head, (n,), records = read_records(text, "lattice", 1)
     if n < 0:
         raise ParseError(f"negative site count {n}", head)
-    edges: list[Edge] = []
-    twisted: set[int] = set()
+    tails, heads, twisted = [], [], set()
     for line, ln in records:
         parts = ln.split()
         if len(parts) < 2 or parts[2:] not in ([], ["twisted"]):
             raise ParseError("expected '<tail> <head> [twisted]'", line)
         t, h = read_ints(parts[:2], line, "link endpoint", bound=n)
         if len(parts) == 3:
-            twisted.add(len(edges))
-        edges.append((t, h))
-    return LatticeGraph(n, tuple(edges)), frozenset(twisted)
+            twisted.add(len(tails))
+        tails.append(t)
+        heads.append(h)
+    return LatticeGraph._from_ends(n, tails, heads), frozenset(twisted)

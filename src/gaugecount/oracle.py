@@ -99,10 +99,11 @@ def burnside_count(G: FiniteGroup, L: LatticeGraph,
             f"{volume} configurations x {E} links exceeds budget {budget}")
     M = pair_count_table(G)
 
+    edges = L.edges
     total: Weight = 0
     for h in itertools.product(*supports):
         link_prod = 1
-        for i, (t, hd) in enumerate(L.edges):
+        for i, (t, hd) in enumerate(edges):
             b = maps[i][h[hd]] if i in maps else h[hd]
             link_prod *= M[h[t]][b]
             if not link_prod:
