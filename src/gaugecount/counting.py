@@ -24,9 +24,9 @@ into a head and summed out by bucket elimination onto the component of the
 lowest-numbered constrained site, whose classes give the per-class breakdown.
 The cost follows distinct characters and nonzero entries, not sites or class
 tuples: sites with equal character values share one power, and elimination
-joins only the nonzero entries of the tables it sums out.  Per site and link
-the work is one union-find pass over the untwisted links, zipped from the
-lattice's tail and head tuples, and a few passes over the labels it returns.
+joins only the nonzero entries of the tables it sums out.  Per link a count
+takes one union-find step and per site one tally of character objects; only
+two or more components add a label per site and a tally of links out.
 
 The result must come out a nonnegative integer; anything else raises
 NonIntegralResult with the failed witness attached.  The site characters
@@ -39,6 +39,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Optional, Sequence
 
 from .autos import class_image
@@ -115,6 +116,7 @@ def count_general(G: FiniteGroup,
     map_of: dict[int, int] = {}  # link under a non-constant map -> map number
     sink: set[int] = set()  # links under the constant map
     identity, sink_image = tuple(range(G.order)), (G.identity,) * G.order
+    keep = bytearray(b"\1") * E  # 0 at the links under a non-constant map
     for i, endo in sorted(maps.items()):
         if not 0 <= i < E:
             raise BadParams(f"twisted link index {i} out of range for {E} links")
@@ -126,7 +128,7 @@ def count_general(G: FiniteGroup,
             if endo.image not in index:
                 index[endo.image] = len(cmaps)
                 cmaps.append(class_image(endo, classes))
-            map_of[i] = index[endo.image]
+            map_of[i], keep[i] = index[endo.image], 0
     warnings: list[str] = []
     if len(map_of) + len(sink) < len(maps):
         warnings.append("identity twist normalized to untwisted links")
@@ -134,30 +136,39 @@ def count_general(G: FiniteGroup,
                  if tails[i] == heads[i]]
 
     n_cls, sizes = classes.n_classes, classes.sizes
-    chars = list(site_chars)
+    chars, hs = site_chars, heads
     if len(chars) != V:
         raise BadParams(f"{len(chars)} site characters for {V} sites")
-    if sink:  # the sink site's regular character
-        chars.append(ClassFunction(G, (Cyclotomic.rational(G.order),)
-                                   + (Cyclotomic.zero(),) * (n_cls - 1)))
-    # sites grouped by character value, not object, so each distinct value is
-    # raised once; same maps each object's id to the first equal character
+    if sink:  # the sink site V: its regular character on a copy, and V as every sink head
+        chars = [*chars, ClassFunction(G, (Cyclotomic.rational(G.order),)
+                                       + (Cyclotomic.zero(),) * (n_cls - 1))]
+        hs = map({i: V for i in sink}.get, range(E), heads)
+    untwisted = compress(zip(tails, hs), keep) if map_of else zip(tails, hs)  # mapped ones out
+    labels, roots = component_labels(len(chars), untwisted)
+    # sites per (component, character object) in first-seen order; a lone
+    # component holds every site, and every link leads out of it
+    if len(roots) == 1:
+        tally, out_links = {(0, key): m for key, m in Counter(map(id, chars)).items()}, [E]
+    else:
+        tally = Counter(zip(labels, map(id, chars)))
+        out_links = Counter(map(labels.__getitem__, tails))
+    # each distinct object in first-seen order, read off doubling slices until all are
+    # seen; same maps its id to the first equal character, so each value is raised once
+    first: dict[int, ClassFunction] = {}
+    n_distinct, lo, step = len({key for _, key in tally}), 0, 8
+    while len(first) < n_distinct:
+        first.update(zip(map(id, chars[lo:lo + step]), chars[lo:lo + step]))
+        lo, step = lo + step, 2 * step
     by_value: dict[tuple, ClassFunction] = {}
     same: dict[int, ClassFunction] = {}
-    for key, ch in dict(zip(map(id, chars), chars)).items():
+    for key, ch in first.items():
         if not same_group(ch.group, G):
             raise GroupMismatch("site character lives over a different group")
         same[key] = by_value.setdefault(tuple((v.order, v.num, v.den) for v in ch.values), ch)
 
-    # untwisted links: sink links lead into the sink site V, and mapped links are left out
-    untwisted = ((t, V if i in sink else h) for i, (t, h) in enumerate(zip(tails, heads))
-                 if i not in map_of) if map_of or sink else zip(tails, heads)
-    labels, roots = component_labels(len(chars), untwisted)
     multiplicity = [defaultdict(int) for _ in roots]  # id of first equal character -> sites
-    for (k, key), m in Counter(zip(labels, map(id, chars))).items():
+    for (k, key), m in tally.items():
         multiplicity[k][id(same[key])] += m
-    sites = [sum(mult.values()) for mult in multiplicity]
-    out_links = Counter(map(labels.__getitem__, tails))  # links out of each component
     into: dict[int, set[tuple[int, int]]] = {}  # head site -> (map, tail component)
     for i, m in map_of.items():
         into.setdefault(heads[i], set()).add((m, labels[tails[i]]))
@@ -170,7 +181,7 @@ def count_general(G: FiniteGroup,
     # times every factor that involves this component alone.  Components with
     # one exponent share one row, so no row is changed in place: the fold
     # below gives a component a fresh row
-    exponents = [out_links[k] - sites[k] for k in range(len(roots))]
+    exponents = [out_links[k] - sum(mult.values()) for k, mult in enumerate(multiplicity)]
     row_of = {e: [Fraction(G.order, size) ** e for size in sizes] for e in set(exponents)}
     weight = [row_of[e] for e in exponents]
     # one 0/1 factor per twisted head, over its component and its tails'
@@ -338,9 +349,10 @@ def count(G: FiniteGroup, L: LatticeGraph, matter: MatterSpec,
     n_phys = L.site_count
     if dangling_attach is not None:
         L, twist = dangling_boundary_extension(L, tuple(dangling_attach), G, twist)
-    chars = list(site_characters(matter, cls, n_phys, sign=parity_sign)
-                 if site_chars is None else site_chars)
-    chars += [constant_class_function(cls, 1)] * (L.site_count - n_phys)
+    chars = (site_characters(matter, cls, n_phys, sign=parity_sign)
+             if site_chars is None else site_chars)
+    if L.site_count > n_phys:  # the virtual site's trivial character, on a new list
+        chars = [*chars, constant_class_function(cls, 1)]
     return count_general(G, cls, L, chars, twist=twist,
                          require_nonnegative=(parity_sign == 1))
 

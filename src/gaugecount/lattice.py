@@ -104,6 +104,7 @@ def lattice_hypercubic(dims: Sequence[int],
     if d * volume > sys.maxsize:  # refused before anything is allocated
         raise BadDims(f"a lattice of {volume} sites is too large to index")
     strides = [math.prod(dims[k + 1:]) for k in range(d)]
+    open_dims = [(j, s, n) for j, (s, n) in enumerate(zip(strides, dims)) if not periodic[j]]
     # slot x*d + k: site x's link along dimension k, its head None past an
     # open end; per block of s*n sites, all but the last s step s forward,
     # those wrap.  Every end is taken from `site`, so equal ends share one int
@@ -124,8 +125,7 @@ def lattice_hypercubic(dims: Sequence[int],
         # slot x*d + k less the None slots before it: per open dimension j,
         # the sites below y on j's last layer, y counting x itself when j < k
         return x * d + k - sum(y // (s * n) * s + max(0, y % (s * n) - s * (n - 1))
-                               for j, (s, n) in enumerate(zip(strides, dims))
-                               if not periodic[j] for y in (x + (j < k),))
+                               for j, s, n in open_dims for y in (x + (j < k),))
     wraps = tuple(tuple(link_index(x, k) for b in range(s * (n - 1), volume, s * n)
                         for x in range(b, b + s)) if periodic[k] else ()
                   for k, (s, n) in enumerate(zip(strides, dims)))
@@ -138,14 +138,19 @@ def lattice_hypercubic(dims: Sequence[int],
 def component_labels(site_count: int, edges: Iterable[Edge]) -> tuple[list[int], list[int]]:
     """Union-find over the undirected links: each site's component, numbered
     in increasing root order, and each component's root."""
-    parent = list(range(site_count))
+    parent, joined, root = list(range(site_count)), 0, 0  # unions made, the last one's root
     for t, h in edges:
         t, h = parent[t], parent[h]  # one step up, then path halving to the roots
+        if t == h:  # already joined: skipping the link loses no union
+            continue
         while parent[t] != t:
             parent[t] = t = parent[parent[t]]
         while parent[h] != h:
             parent[h] = h = parent[parent[h]]
-        parent[h] = t
+        if t != h:
+            parent[h], joined, root = t, joined + 1, t
+    if joined == site_count - 1:  # connected: one label, and no pointer jumping
+        return [0] * site_count, [root]
     # pointer jumping until every site points at its root
     while (up := list(map(parent.__getitem__, parent))) != parent:
         parent = up

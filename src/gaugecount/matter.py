@@ -23,8 +23,10 @@ from __future__ import annotations
 import cmath
 import collections
 import functools
+import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence, Union
@@ -342,6 +344,8 @@ def rep_from_generator_images(G: FiniteGroup, images: Sequence[Sequence[Sequence
 def trivial_rep(G: FiniteGroup, dim: int = 1) -> UnitaryRep:
     if dim < 1:
         raise BadParams(f"representation dimension must be positive, got {dim}")
+    if dim * dim > sys.maxsize:  # refused before anything is allocated
+        raise BadParams(f"a representation of dimension {dim} is too large to index")
     eye = mat_identity_exact(dim)
     return rep_from_exact(G, (eye,) * G.order)
 
@@ -626,6 +630,8 @@ class FermionMatter:
             raise BadParams(f"spinor_count must be >= 1, got {self.spinor_count}")
         if not self.flavours:
             raise BadParams("at least one flavour representation is required")
+        if self.spinor_count * sum(f.dim for f in self.flavours) > sys.maxsize:
+            raise BadParams(f"{self.spinor_count} spinors are too many modes to index")
         if isinstance(self.vacuum, str) and self.vacuum not in ("trivial", "staggered"):
             raise BadParams(f"unknown vacuum {self.vacuum!r}")
 
@@ -669,7 +675,7 @@ def fermion_site_characters(matter: FermionMatter, classes: ConjugacyClassTable,
         weight = one_dim_class_values(matter.vacuum, classes).values
     dressed = ClassFunction(G, tuple(map(operator.mul, plain.values, weight)))
     if matter.vacuum == "staggered":
-        return [dressed if x % 2 else plain for x in range(n_sites)]
+        return [plain, dressed] * (n_sites // 2)
     return [dressed] * n_sites
 
 
@@ -684,10 +690,14 @@ def site_characters(matter: MatterSpec, classes: ConjugacyClassTable,
                    else (matter.action,) * n_sites)
         if len(actions) != n_sites:
             raise BadParams(f"{len(actions)} actions for {n_sites} physical sites")
-        # one character per distinct action object, shared by that action's sites
-        ids = list(map(id, actions))
-        chars = {k: fixed_point_character(a, classes) for k, a in dict(zip(ids, actions)).items()}
-        return list(map(chars.__getitem__, ids))
+        # one character per distinct action object, one list repetition per run of it
+        made: dict[int, ClassFunction] = {}
+        chars = []
+        for key, run in itertools.groupby(actions, id):
+            run = list(run)
+            ch = made[key] = made.get(key) or fixed_point_character(run[0], classes)
+            chars += [ch] * len(run)
+        return chars
     if isinstance(matter, FermionMatter):
         return fermion_site_characters(matter, classes, n_sites, sign=sign)
     raise BadParams(f"unknown matter specification {matter!r}")

@@ -763,6 +763,16 @@ def test_dims_too_large_to_index_exit_2(tmp_path, capsys, case):
     assert err.startswith("error: BadDims: ") and err.count("\n") == 1
 
 
+def test_trivial_flavour_too_large_to_index_exits_2(tmp_path, capsys):
+    flavour = {"builtin": "trivial", "dim": 10 ** 30}
+    cfg = write_config(tmp_path, {"group": {"family": "cyclic", "params": [2]},
+                                  "lattice": {"dims": [2]},
+                                  "matter": {"kind": "fermion", "flavours": [flavour]}})
+    assert main(["count", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: BadParams: ") and err.count("\n") == 1
+
+
 BASE_JOB = {"group": {"family": "cyclic", "params": [4]}, "lattice": {"dims": [2]}}
 
 

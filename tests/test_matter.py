@@ -457,6 +457,12 @@ def test_one_dim_to_rep_and_trivial():
         trivial_rep(G, 0)
 
 
+def test_trivial_rep_too_large_to_index_is_refused_at_once():
+    # a dim * dim identity past sys.maxsize is refused before any row is built
+    with pytest.raises(BadParams, match="too large to index"):
+        trivial_rep(cyclic_group(2), 10 ** 30)
+
+
 def test_one_dim_class_values_detects_inconsistency():
     G = symmetric_group(3)
     cls = conjugacy_classes(G)

@@ -17,7 +17,9 @@ gives the same total for both:
 - sink links as a site: a dangling boundary counts as the untwisted links
   from its attach sites into one new site carrying the regular character;
 - products: untwisted pure gauge over a direct product G x H counts as the
-  product of the counts over G and over H.
+  product of the counts over G and over H;
+- disjoint unions: two jobs side by side, their dangling boundaries sharing
+  one virtual site, count as the product of their counts.
 """
 
 import functools
@@ -35,6 +37,7 @@ from gaugecount import (  # noqa: E402
     GroupEndomorphism,
     LatticeGraph,
     PureGauge,
+    ScalarMatter,
     TwistSpec,
     action_coset,
     action_left_mult,
@@ -56,6 +59,7 @@ from gaugecount import (  # noqa: E402
     fixed_point_character,
     identity_endo,
     inner_automorphism,
+    inversion_endo,
     lattice_hypercubic,
     one_dim_to_rep,
     permutation_rep,
@@ -74,20 +78,25 @@ SETTINGS = settings(derandomize=True, max_examples=20, deadline=None, database=N
 
 
 @functools.lru_cache(maxsize=None)
-def _setup(name):
-    """(group, class table, character pool, boundary maps, automorphisms)."""
+def _flavour(name):
+    """The named group and a rep of it with a nontrivial Fock character."""
     if name.startswith("Z"):
         G = cyclic_group(int(name[1:]))
-        rep = one_dim_to_rep(zn_charge_rep(G, 1))
-    elif name == "D4":
+        return G, one_dim_to_rep(zn_charge_rep(G, 1))
+    if name == "D4":
         G = dihedral_group(4)
-        rep = dihedral_rotation_rep(G, 4)
-    elif name == "S3":
+        return G, dihedral_rotation_rep(G, 4)
+    if name == "S3":
         G = symmetric_group(3)
-        rep = permutation_rep(action_coset(G, first_proper_subgroup(G)))
-    else:
-        G = quaternion_group() if name == "Q8" else binary_tetrahedral_group()
-        rep = su2_fundamental_rep(G)
+        return G, permutation_rep(action_coset(G, first_proper_subgroup(G)))
+    G = quaternion_group() if name == "Q8" else binary_tetrahedral_group()
+    return G, su2_fundamental_rep(G)
+
+
+@functools.lru_cache(maxsize=None)
+def _setup(name):
+    """(group, class table, character pool, boundary maps, automorphisms)."""
+    G, rep = _flavour(name)
     cls = conjugacy_classes(G)
     coset = action_coset(G, first_proper_subgroup(G))
     # means 1, 1 or 2, 1 and at least 2: a free site's factor is not always 1
@@ -248,3 +257,50 @@ def test_pure_gauge_over_a_direct_product_counts_as_the_product(factors):
               LatticeGraph(3, ((0, 1), (1, 2), (2, 0), (0, 1), (2, 2)))):
         assert count(direct_product(G, H), L, PureGauge()).total == \
             count(G, L, PureGauge()).total * count(H, L, PureGauge()).total
+
+
+@functools.lru_cache(maxsize=None)
+def _union_case(name):
+    """(group, class table, matter specs, boundary maps) of a disjoint-union case:
+    identity, constant and inner maps, and inversion on an abelian group."""
+    G, rep = _flavour(name)
+    maps = (identity_endo(G), constant_identity_endo(G),
+            *(inner_automorphism(G, g) for g in range(G.order)),
+            *((inversion_endo(G),) if G.is_abelian() else ()))
+    return (G, conjugacy_classes(G),
+            (PureGauge(), ScalarMatter(action_left_mult(G)), FermionMatter((rep,))), maps)
+
+
+@st.composite
+def union_sides(draw, name):
+    """(lattice, link -> map, attach sites): a multigraph of 1 to 3 sites and
+    0 to 4 links, with per-link maps and a dangling attach list."""
+    *_, maps = _union_case(name)
+    V = draw(st.integers(1, 3))
+    edges = draw(st.lists(st.tuples(st.integers(0, V - 1), st.integers(0, V - 1)),
+                          max_size=4))
+    twisted = draw(st.lists(st.integers(0, len(edges) - 1), unique=True)) if edges else []
+    attach = draw(st.lists(st.integers(0, V - 1), max_size=V, unique=True))
+    return (LatticeGraph(V, edges), {i: draw(st.sampled_from(maps)) for i in twisted},
+            attach)
+
+
+@pytest.mark.parametrize("name", ("Z4", "D4", "Q8", "2T", "S3"))
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(data=st.data())
+def test_disjoint_union_multiplies_the_counts(name, data):
+    """L2's sites shift by V1 and its links by E1; the attach lists join, so
+    both dangling boundaries feed one virtual site."""
+    G, cls, matters, _ = _union_case(name)
+    matter = data.draw(st.sampled_from(matters))
+    (L1, maps1, attach1), (L2, maps2, attach2) = (data.draw(union_sides(name)) for _ in "12")
+    V1, E1 = L1.site_count, L1.edge_count
+    union = LatticeGraph(V1 + L2.site_count,
+                         L1.edges + tuple((t + V1, h + V1) for t, h in L2.edges))
+    maps = {**maps1, **{i + E1: phi for i, phi in maps2.items()}}
+
+    def total(L, maps, attach):
+        return count(G, L, matter, twist=TwistSpec(maps), dangling_attach=attach,
+                     classes=cls).total
+    assert total(union, maps, attach1 + [a + V1 for a in attach2]) == \
+        total(L1, maps1, attach1) * total(L2, maps2, attach2)
