@@ -25,11 +25,11 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Mapping, Optional, Sequence
 
+from ._values import frozen
 from .errors import (
     BadParams,
     GroupMismatch,
@@ -51,7 +51,7 @@ from .textio import end_line, read_ints, read_records, write_records
 DEFAULT_AUT_BUDGET = 10_000_000
 
 
-@dataclass(frozen=True)
+@frozen
 class GroupEndomorphism:
     """A multiplicative self-map, stored as its full image table."""
 
@@ -138,7 +138,7 @@ def class_image(phi: GroupEndomorphism, classes: ConjugacyClassTable) -> tuple[i
 # ---------------------------------------------------------------------------
 # automorphism enumeration
 
-@dataclass(frozen=True)
+@frozen
 class AutomorphismSearch:
     """Enumerated automorphisms plus a completeness flag and work counter."""
 
@@ -229,7 +229,7 @@ def enumerate_automorphisms(G: FiniteGroup,
                               complete, work)
 
 
-@dataclass(frozen=True)
+@frozen
 class AutReport:
     """Structure of the automorphism group as seen by the enumeration."""
 

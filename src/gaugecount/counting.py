@@ -37,11 +37,11 @@ come from `matter.site_characters`; this module holds the contraction,
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from typing import Optional, Sequence
 
+from ._values import frozen
 from .autos import class_image
 from .cyclo import Cyclotomic
 from .errors import BadParams, GroupMismatch, NonIntegralResult
@@ -58,7 +58,7 @@ from .matter import (
 )
 
 
-@dataclass(frozen=True)
+@frozen
 class IntegralityWitness:
     """Evidence that the exact class sum reduced to a nonnegative integer."""
 
@@ -72,7 +72,7 @@ class IntegralityWitness:
         return self.is_rational and self.denominator == 1 and self.nonnegative
 
 
-@dataclass(frozen=True)
+@frozen
 class CountReport:
     """Exact count with its per-class breakdown and the integrality witness."""
 
@@ -303,7 +303,7 @@ def count_general(G: FiniteGroup,
 # ---------------------------------------------------------------------------
 # entry points
 
-@dataclass(frozen=True)
+@frozen
 class ParitySplit:
     """Dimensions of the even and odd fermion-parity sectors."""
 

@@ -17,12 +17,12 @@ deterministic.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
 from math import lcm
 from operator import getitem, itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import quaternions as qt
+from ._values import field, frozen
 from .errors import (
     BadParams,
     ClosureOverflow,
@@ -34,7 +34,7 @@ from .errors import (
 from .textio import end_line, read_ints, read_records, write_records
 
 
-@dataclass(frozen=True)
+@frozen
 class FiniteGroup:
     """A finite group given by its full multiplication table; `generators` generate it."""
 
@@ -47,7 +47,7 @@ class FiniteGroup:
     name: str = "G"
     # unit-quaternion coordinates of each element, four integers over
     # quaternions.DENOM, for groups built from quaternions (Q8, 2T, 2O, 2I)
-    quaternion_coords: Optional[tuple] = field(default=None, compare=False, repr=False)
+    quaternion_coords: Optional[tuple] = field(default=None, compare=False)
 
     def mul(self, a: int, b: int) -> int:
         return self.mul_table[a][b]
@@ -400,7 +400,8 @@ def _quaternion_closure(gens: list, expected_order: int, name: str) -> FiniteGro
                                         qt.quat_label, name)
     if grp.order != expected_order:
         raise NotAGroup(f"{name} closed at order {grp.order}, expected {expected_order}")
-    return replace(grp, quaternion_coords=tuple(elems))
+    return FiniteGroup(grp.order, grp.mul_table, grp.inv_table, grp.identity, grp.labels,
+                       grp.generators, name, tuple(elems))
 
 
 def direct_product(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:
@@ -471,7 +472,7 @@ def orbit_partition(n: int, scan: Iterable[int], orbit: Callable[[int], Iterable
     return tuple(blocks), tuple(index)
 
 
-@dataclass(frozen=True)
+@frozen
 class ConjugacyClassTable:
     """Conjugacy classes, identity class first; `class_members[c]` stores the
     sorted members of class c as the class walk found them."""
@@ -510,7 +511,7 @@ def centralizer_order(G: FiniteGroup, g: int) -> int:
 # ---------------------------------------------------------------------------
 # subgroups and cosets
 
-@dataclass(frozen=True)
+@frozen
 class SubgroupHandle:
     parent: FiniteGroup
     member_mask: tuple[bool, ...]
@@ -566,7 +567,7 @@ def normalizer(G: FiniteGroup, H: SubgroupHandle) -> SubgroupHandle:
     return subgroup_from_elements(G, elems)
 
 
-@dataclass(frozen=True)
+@frozen
 class CosetSpace:
     """Left cosets gH, ordered by smallest member; representative = smallest."""
 

@@ -11,11 +11,11 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
 from itertools import compress, repeat, zip_longest
 from operator import is_not, itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
+from ._values import field, frozen
 from .autos import GroupEndomorphism, constant_identity_endo, is_endomorphism
 from .errors import BadDims, BadParams, NotAHomomorphism, ParseError
 from .groups import FiniteGroup
@@ -40,7 +40,7 @@ def _check_links(n: int, links: Iterable) -> None:
         raise BadParams(f"link {i} {bad}: {link!r}")
 
 
-@dataclass(frozen=True, init=False)
+@frozen
 class LatticeGraph:
     """Sites 0..site_count-1 and directed links, link i from tails[i] to heads[i];
     parallel links and loops allowed.  Built from (tail, head) pairs, each checked."""
@@ -161,7 +161,7 @@ def component_labels(site_count: int, edges: Iterable[Edge]) -> tuple[list[int],
 # ---------------------------------------------------------------------------
 # twists
 
-@dataclass(frozen=True)
+@frozen
 class TwistSpec:
     """Per-link boundary maps: link index -> the endomorphism applied to that
     link's head factor.  Links not listed are untwisted; a constant map makes

@@ -26,11 +26,10 @@ import functools
 import itertools
 import math
 import operator
-import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
+from ._values import frozen
 from .cyclo import Cyclotomic
 from .errors import (
     BadParams,
@@ -62,12 +61,15 @@ if TYPE_CHECKING:
 
 NUMERIC_TOL = 1e-9
 SNAP_TOL = 1e-6
+# Size caps (README, exit codes): at either one a 2-site count takes about a second
+MAX_TRIVIAL_REP_ENTRIES = 2 ** 19
+MAX_SITE_MODES = 2 ** 17
 
 
 # ---------------------------------------------------------------------------
 # class functions
 
-@dataclass(frozen=True)
+@frozen
 class ClassFunction:
     """One exact value per conjugacy class."""
 
@@ -82,7 +84,7 @@ def constant_class_function(classes: ConjugacyClassTable, value=1) -> ClassFunct
 # ---------------------------------------------------------------------------
 # group actions on finite sets
 
-@dataclass(frozen=True)
+@frozen
 class GroupAction:
     """Left action of a group on {0..set_size-1} as a full lookup table."""
 
@@ -247,7 +249,7 @@ def _close(a: ComplexMatrix, b: ComplexMatrix) -> bool:
 # ---------------------------------------------------------------------------
 # unitary representations
 
-@dataclass(frozen=True)
+@frozen
 class UnitaryRep:
     """A unitary matrix representation, one matrix per group element.
 
@@ -344,7 +346,7 @@ def rep_from_generator_images(G: FiniteGroup, images: Sequence[Sequence[Sequence
 def trivial_rep(G: FiniteGroup, dim: int = 1) -> UnitaryRep:
     if dim < 1:
         raise BadParams(f"representation dimension must be positive, got {dim}")
-    if dim * dim > sys.maxsize:  # refused before anything is allocated
+    if G.order * dim * dim > MAX_TRIVIAL_REP_ENTRIES:  # refused before anything is allocated
         raise BadParams(f"a representation of dimension {dim} is too large to index")
     eye = mat_identity_exact(dim)
     return rep_from_exact(G, (eye,) * G.order)
@@ -423,7 +425,7 @@ def rep_restrict(rep: UnitaryRep, H: SubgroupHandle) -> tuple[UnitaryRep, Finite
 # ---------------------------------------------------------------------------
 # one-dimensional representations
 
-@dataclass(frozen=True)
+@frozen
 class OneDimRep:
     """A homomorphism into roots of unity, one exact value per element."""
 
@@ -588,7 +590,7 @@ def one_dim_class_values(chi: OneDimRep, classes: ConjugacyClassTable) -> ClassF
 # ---------------------------------------------------------------------------
 # matter specifications
 
-@dataclass(frozen=True)
+@frozen
 class PureGauge:
     """No matter: every site carries the trivial character."""
 
@@ -600,7 +602,7 @@ def _check_actions(actions: Sequence[GroupAction]) -> None:
             raise NotAHomomorphism(f"not a group action: {bad[0]} violated at {bad[1]}")
 
 
-@dataclass(frozen=True)
+@frozen
 class ScalarMatter:
     action: GroupAction
 
@@ -608,7 +610,7 @@ class ScalarMatter:
         _check_actions((self.action,))
 
 
-@dataclass(frozen=True)
+@frozen
 class ScalarMatterPerSite:
     actions: tuple[GroupAction, ...]
 
@@ -619,7 +621,7 @@ class ScalarMatterPerSite:
 Vacuum = Union[str, OneDimRep]  # "trivial" | "staggered" | explicit character
 
 
-@dataclass(frozen=True)
+@frozen
 class FermionMatter:
     flavours: tuple[UnitaryRep, ...]
     spinor_count: int = 1
@@ -630,7 +632,7 @@ class FermionMatter:
             raise BadParams(f"spinor_count must be >= 1, got {self.spinor_count}")
         if not self.flavours:
             raise BadParams("at least one flavour representation is required")
-        if self.spinor_count * sum(f.dim for f in self.flavours) > sys.maxsize:
+        if self.spinor_count * sum(f.dim for f in self.flavours) > MAX_SITE_MODES:
             raise BadParams(f"{self.spinor_count} spinors are too many modes to index")
         if isinstance(self.vacuum, str) and self.vacuum not in ("trivial", "staggered"):
             raise BadParams(f"unknown vacuum {self.vacuum!r}")

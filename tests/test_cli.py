@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -194,7 +195,8 @@ def test_budget_below_one_exits_2(tmp_path, capsys, budget):
 def test_cli_import_does_not_load_numpy(tmp_path):
     # importing the CLI, then running pure-gauge, scalar and fermion jobs
     # (built-in and file flavours, count and verify), in one process: numpy
-    # stays unloaded after each step
+    # and dataclasses (whose code generation a cold process would pay for)
+    # stay unloaded after each step
     def fermion(family, params, flavour, name, dims=(2, 2)):
         return write_config(tmp_path, {
             "group": {"family": family, "params": params}, "lattice": {"dims": dims},
@@ -218,15 +220,16 @@ def test_cli_import_does_not_load_numpy(tmp_path):
         count + [fermion("dihedral", [3], {"file": str(rep_file)}, "file.json")],
     ]
     code = ("import sys, gaugecount.cli as c\n"
-            "print('numpy' in sys.modules)\n"
+            "def loaded(): print('loaded', 'numpy' in sys.modules, 'dataclasses' in sys.modules)\n"
+            "loaded()\n"
             f"for argv in {jobs!r}:\n"
             "    assert c.main(argv) == 0, argv\n"
-            "    print('numpy' in sys.modules)\n")
+            "    loaded()\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env={**os.environ,
                                                      "PYTHONPATH": os.pathsep.join(sys.path)})
-    flags = [ln for ln in out.stdout.splitlines() if ln in ("True", "False")]
-    assert flags == ["False"] * (1 + len(jobs))
+    flags = [ln for ln in out.stdout.splitlines() if ln.startswith("loaded ")]
+    assert flags == ["loaded False False"] * (1 + len(jobs))
 
 
 def test_twist_config_variants(tmp_path, capsys):
@@ -769,6 +772,21 @@ def test_trivial_flavour_too_large_to_index_exits_2(tmp_path, capsys):
                                   "lattice": {"dims": [2]},
                                   "matter": {"kind": "fermion", "flavours": [flavour]}})
     assert main(["count", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: BadParams: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flavour, spinors", [({"builtin": "trivial", "dim": 99999}, 1),
+                                             ({"builtin": "su2_fundamental"}, 10 ** 6)],
+                         ids=["trivial_dim", "spinor_count"])
+def test_mid_range_matter_sizes_exit_2_at_once(tmp_path, capsys, flavour, spinors):
+    cfg = write_config(tmp_path, {"group": {"family": "binary_tetrahedral"},
+                                  "lattice": {"dims": [2]},
+                                  "matter": {"kind": "fermion", "flavours": [flavour],
+                                             "spinor_count": spinors}})
+    start = time.perf_counter()
+    assert main(["count", "--config", cfg]) == 2
+    assert time.perf_counter() - start < 1
     err = capsys.readouterr().err
     assert err.startswith("error: BadParams: ") and err.count("\n") == 1
 

@@ -4,9 +4,10 @@ Seeded mutation fuzzes of the text files (lattice, group table, rep, action,
 endomorphism) and of the config leaves that name lattice sizes and links
 (`lattice.dims`, `dangling_attach`, `twist.edges`), the group, the matter
 and the twist map (`group`, `matter`, `twist.endo`).  Every case must exit
-0 or 2, and a refusal prints exactly one `error:` line.  Every size drawn is
-below 10^5 or above sys.maxsize: sizes in between are not run, since one
-could commit a great deal of memory before Python raises MemoryError.
+0 or 2, and a refusal prints exactly one `error:` line.  Every lattice size
+drawn is below 10^5 or above sys.maxsize: sizes in between are not run, since
+one could commit a great deal of memory before Python raises MemoryError.
+Matter sizes also take mid-range values, which the size caps refuse.
 """
 
 import contextlib
@@ -145,8 +146,9 @@ SPEC_LEAVES = {  # path -> values of the right type, of which some are refused
                            {"file": "missing.txt"}),
     ("matter", "flavours"): ([{"builtin": "su2_fundamental"}], [{"builtin": "dihedral_rotation"}],
                              [{"builtin": "zn_charge", "charge": HUGE}],
-                             [{"builtin": "trivial", "dim": HUGE}], [{"file": "rep.txt"}]),
-    ("matter", "spinor_count"): (3, HUGE),
+                             [{"builtin": "trivial", "dim": HUGE}],
+                             [{"builtin": "trivial", "dim": 99999}], [{"file": "rep.txt"}]),
+    ("matter", "spinor_count"): (3, 10 ** 6, HUGE),
     ("matter", "vacuum"): ("trivial", "staggered"),
     ("twist", "endo"): ("identity", "inversion", "constant_identity", {"inner": 1},
                         {"inner": HUGE}, {"file": "endo.txt"}),
@@ -174,6 +176,10 @@ def text_files(draw):
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
 @example(texts=TEXTS, argv=["count"], cfg=dict(FERMION_JOB, matter={  # hung unrefused
     "kind": "fermion", "flavours": [{"builtin": "trivial", "dim": HUGE}]}))
+@example(texts=TEXTS, argv=["count"], cfg=dict(FERMION_JOB, matter={  # ran for minutes
+    "kind": "fermion", "flavours": [{"builtin": "trivial", "dim": 99999}]}))
+@example(texts=TEXTS, argv=["count"], cfg=dict(FERMION_JOB, matter=dict(
+    FERMION_JOB["matter"], spinor_count=10 ** 6)))
 @given(texts=text_files(), argv=st.sampled_from(ARGVS),
        cfg=configs((FERMION_JOB, SCALAR_JOB), tuple(SPEC_LEAVES), SPEC_LEAVES))
 def test_mutated_spec_inputs_exit_0_or_2_with_one_error_line(tmp_path_factory, texts, cfg,

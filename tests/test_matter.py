@@ -463,6 +463,19 @@ def test_trivial_rep_too_large_to_index_is_refused_at_once():
         trivial_rep(cyclic_group(2), 10 ** 30)
 
 
+def test_mid_range_sizes_are_refused_at_once():
+    # past the caps on |G| * dim^2 matrix entries and on modes per site: refused
+    # before anything is built, where dim 99999 would run for minutes
+    with pytest.raises(BadParams, match="too large to index"):
+        trivial_rep(cyclic_group(2), 99999)
+    with pytest.raises(BadParams, match="too large to index"):  # 120 * 67^2 entries
+        trivial_rep(binary_icosahedral_group(), 67)
+    rep = trivial_rep(cyclic_group(2), 8)
+    with pytest.raises(BadParams, match="too many modes"):
+        FermionMatter((rep,), spinor_count=matter.MAX_SITE_MODES // 8 + 1)
+    assert FermionMatter((rep,), matter.MAX_SITE_MODES // 8).spinor_count == 2 ** 14
+
+
 def test_one_dim_class_values_detects_inconsistency():
     G = symmetric_group(3)
     cls = conjugacy_classes(G)

@@ -14,6 +14,10 @@ gives the same total for both:
   link's map phi into c_{k_t} o phi o c_{k_x}^-1, which induces the same
   class map, so it counts as the untouched twist (as no twist when there
   was none);
+- a gauge move by any automorphism psi at one site x: its group element
+  g_x = psi(g'_x) turns each map phi on a link into x into phi o psi, on a
+  link out of x into psi^-1 o phi (both on a loop at x), and chi_x into
+  chi_x o psi;
 - sink links as a site: a dangling boundary counts as the untwisted links
   from its attach sites into one new site carrying the regular character;
 - products: untwisted pure gauge over a direct product G x H counts as the
@@ -33,6 +37,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from gaugecount import (  # noqa: E402
+    ClassFunction,
     FermionMatter,
     GroupEndomorphism,
     LatticeGraph,
@@ -43,6 +48,7 @@ from gaugecount import (  # noqa: E402
     action_left_mult,
     action_product,
     binary_tetrahedral_group,
+    class_image,
     conjugacy_classes,
     constant_class_function,
     constant_identity_endo,
@@ -217,6 +223,30 @@ def test_inner_coboundary_keeps_the_count(name, data):
         if phi.image != identity.image:
             new_maps[i] = phi
     assert _total(name, L, chars, new_maps) == _total(name, L, chars, maps)
+
+
+@pytest.mark.parametrize("name", ("Z5", "Z6", "D4", "Q8", "2T"))
+@settings(SETTINGS, max_examples=80)
+@given(data=st.data())
+def test_gauge_move_by_an_automorphism_keeps_the_count(name, data):
+    """psi moves classes (inner moves are the coboundary above); on Z5
+    (x -> 2x) and Q8 its class map can have order 3 or 4, so using psi for
+    psi^-1, or chi_x o psi^-1 for chi_x o psi, fails."""
+    L, chars, maps = data.draw(jobs(name))
+    G, cls, _, _, autos = _setup(name)
+    x = data.draw(st.integers(0, L.site_count - 1))
+    psi = data.draw(st.sampled_from([a for a in autos
+                                     if class_image(a, cls) != tuple(range(cls.n_classes))]))
+    identity = identity_endo(G)
+    new_maps = {}
+    for i, (t, h) in enumerate(L.edges):
+        phi = _compose(*[_inverse(psi)] * (t == x), maps.get(i, identity),
+                       *[psi] * (h == x))
+        if phi.image != identity.image:
+            new_maps[i] = phi
+    new_chars = list(chars)
+    new_chars[x] = ClassFunction(G, tuple(chars[x].values[c] for c in class_image(psi, cls)))
+    assert _total(name, L, new_chars, new_maps) == _total(name, L, chars, maps)
 
 
 @functools.lru_cache(maxsize=None)
