@@ -4,9 +4,9 @@ _MISSING = object()
 
 
 class field:  # spelled as the dataclasses.field it replaces
-    """A field default, left out of equality and hash unless `compare`."""
+    """A field default, if any, left out of equality and hash unless `compare`."""
 
-    def __init__(self, default, *, compare: bool = True):
+    def __init__(self, default=_MISSING, *, compare: bool = True):
         self.default, self.compare = default, compare
 
 
@@ -43,8 +43,11 @@ def frozen(cls):
     def __repr__(self):
         return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in names)})"
 
-    for n, default in defaults.items():  # a field(...) default becomes the class attribute
-        setattr(cls, n, default)
+    for n, f in fields.items():  # a field(...) default becomes the class attribute
+        if f.default is not _MISSING:
+            setattr(cls, n, f.default)
+        elif n in cls.__dict__:  # a field(...) without one leaves none
+            delattr(cls, n)
     for name, method in (("__init__", __init__), ("__eq__", __eq__), ("__repr__", __repr__),
                          ("__hash__", lambda self: hash(key(self))),
                          ("__setattr__", _refuse), ("__delattr__", _refuse)):

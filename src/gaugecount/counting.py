@@ -24,9 +24,13 @@ into a head and summed out by bucket elimination onto the component of the
 lowest-numbered constrained site, whose classes give the per-class breakdown.
 The cost follows distinct characters and nonzero entries, not sites or class
 tuples: sites with equal character values share one power, and elimination
-joins only the nonzero entries of the tables it sums out.  Per link a count
-takes one union-find step and per site one tally of character objects; only
-two or more components add a label per site and a tally of links out.
+joins only the nonzero entries of the tables it sums out.  A count that
+removes no link (no non-constant map, no sink link) takes the lattice's cached
+components, so on a hypercubic lattice it reads no link at all; a twist that
+removes or moves links takes one union-find step per link.  Per site a count
+takes one identity scan per distinct character object, or one Counter pass
+past a few of them; only two or more components add a label per site and a
+tally of links out.
 
 The result must come out a nonnegative integer; anything else raises
 NonIntegralResult with the failed witness attached.  The site characters
@@ -38,7 +42,8 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, repeat
+from operator import is_
 from typing import Optional, Sequence
 
 from ._values import frozen
@@ -93,6 +98,29 @@ class CountReport:
     warnings: tuple[str, ...]
 
 
+# distinct character objects a lone component counts by identity scans, one
+# pass over the sites each; past this many, one Counter pass over their ids
+_SCANNED_CHARACTERS = 4
+
+
+def _identity_tally(chars: Sequence[ClassFunction]) -> Optional[dict[int, int]]:
+    """Sites per character object, keyed by id in first-seen order, or None
+    past _SCANNED_CHARACTERS distinct objects.  Each object is found in doubling
+    slices, as `count_general` finds them, and counted by one scan."""
+    counts: dict[int, int] = {}
+    left, lo, step = len(chars), 0, 8
+    while left:
+        part = chars[lo:lo + step]
+        for key, ch in dict(zip(map(id, part), part)).items():
+            if key not in counts:
+                if len(counts) == _SCANNED_CHARACTERS:
+                    return None
+                counts[key] = m = sum(map(is_, chars, repeat(ch)))
+                left -= m
+        lo, step = lo + step, 2 * step
+    return counts
+
+
 def count_general(G: FiniteGroup,
                   classes: ConjugacyClassTable,
                   L: LatticeGraph,
@@ -106,7 +134,7 @@ def count_general(G: FiniteGroup,
     """
     if not same_group(G, classes.group):
         raise GroupMismatch("group and class table disagree")
-    V, E, tails, heads = L.site_count, L.edge_count, L.tails, L.heads
+    V, E = L.site_count, L.edge_count
     # the twist as data: each distinct map, interned by its image, is read once
     # as a class map; identity maps leave their links untwisted, and a sink
     # link t -> x (constant map) becomes the untwisted link t -> V, V the sink site
@@ -132,26 +160,32 @@ def count_general(G: FiniteGroup,
     warnings: list[str] = []
     if len(map_of) + len(sink) < len(maps):
         warnings.append("identity twist normalized to untwisted links")
-    warnings += [f"twisted link {i} is a self-loop" for i in sorted(sink | map_of.keys())
-                 if tails[i] == heads[i]]
 
     n_cls, sizes = classes.n_classes, classes.sizes
-    chars, hs = site_chars, heads
+    chars = site_chars
     if len(chars) != V:
         raise BadParams(f"{len(chars)} site characters for {V} sites")
-    if sink:  # the sink site V: its regular character on a copy, and V as every sink head
-        chars = [*chars, ClassFunction(G, (Cyclotomic.rational(G.order),)
-                                       + (Cyclotomic.zero(),) * (n_cls - 1))]
-        hs = map({i: V for i in sink}.get, range(E), heads)
-    untwisted = compress(zip(tails, hs), keep) if map_of else zip(tails, hs)  # mapped ones out
-    labels, roots = component_labels(len(chars), untwisted)
+    if sink or map_of:  # only a twist that moves or removes links reads them
+        tails, heads = L.tails, L.heads
+        warnings += [f"twisted link {i} is a self-loop" for i in sorted(sink | map_of.keys())
+                     if tails[i] == heads[i]]
+        hs = heads
+        if sink:  # the sink site V: its regular character on a copy, and V as every sink head
+            chars = [*chars, ClassFunction(G, (Cyclotomic.rational(G.order),)
+                                           + (Cyclotomic.zero(),) * (n_cls - 1))]
+            hs = map({i: V for i in sink}.get, range(E), heads)
+        untwisted = compress(zip(tails, hs), keep) if map_of else zip(tails, hs)  # mapped out
+        labels, roots = component_labels(len(chars), untwisted)
+    else:
+        labels, roots = L.components
     # sites per (component, character object) in first-seen order; a lone
     # component holds every site, and every link leads out of it
     if len(roots) == 1:
-        tally, out_links = {(0, key): m for key, m in Counter(map(id, chars)).items()}, [E]
+        counts = _identity_tally(chars) or Counter(map(id, chars))
+        tally, out_links = {(0, key): m for key, m in counts.items()}, [E]
     else:
         tally = Counter(zip(labels, map(id, chars)))
-        out_links = Counter(map(labels.__getitem__, tails))
+        out_links = Counter(map(labels.__getitem__, L.tails))
     # each distinct object in first-seen order, read off doubling slices until all are
     # seen; same maps its id to the first equal character, so each value is raised once
     first: dict[int, ClassFunction] = {}
@@ -171,7 +205,7 @@ def count_general(G: FiniteGroup,
         multiplicity[k][id(same[key])] += m
     into: dict[int, set[tuple[int, int]]] = {}  # head site -> (map, tail component)
     for i, m in map_of.items():
-        into.setdefault(heads[i], set()).add((m, labels[tails[i]]))
+        into.setdefault(L.heads[i], set()).add((m, labels[L.tails[i]]))
     # free: only sink links into it, if any; such a site is a component with
     # no links out, and its own root (never the sink site, which has links in)
     free = [x for k, x in enumerate(roots) if not out_links[k] and x not in into]

@@ -4,6 +4,9 @@ A lattice is an arbitrary multigraph.  Link i is directed from tails[i] to
 heads[i]; a gauge transformation acts on the link variable as
 g -> g_tail . g . g_head^-1, with the head factor routed through the twist
 endomorphism on twisted links.  `edges` zips the two tuples into pairs on first use.
+A hypercubic lattice is kept as its shape: its site and link counts are
+arithmetic, its link tuples and wraparound indices are built and checked on
+first read, and its one component is known without reading a link.
 """
 
 from __future__ import annotations
@@ -43,14 +46,15 @@ def _check_links(n: int, links: Iterable) -> None:
 @frozen
 class LatticeGraph:
     """Sites 0..site_count-1 and directed links, link i from tails[i] to heads[i];
-    parallel links and loops allowed.  Built from (tail, head) pairs, each checked."""
+    parallel links and loops allowed.  Built from (tail, head) pairs, each checked,
+    or by `lattice_hypercubic` from its shape, whose links are built on first read."""
 
     site_count: int
     tails: tuple[int, ...]
     heads: tuple[int, ...]
     name: str = field(default="", compare=False)
     # per-dimension wraparound link indices for hypercubic lattices
-    wrap_edges: tuple[tuple[int, ...], ...] = field(default=(), compare=False)
+    wrap_edges: tuple[tuple[int, ...], ...] = field(compare=False)
 
     def __init__(self, site_count: int, edges: Iterable[Edge] = (), name: str = "",
                  wrap_edges: tuple[tuple[int, ...], ...] = ()):
@@ -58,7 +62,7 @@ class LatticeGraph:
         _check_links(site_count, edges)
         self.__dict__.update(site_count=site_count, tails=tuple(map(itemgetter(0), edges)),
                              heads=tuple(map(itemgetter(1), edges)), name=name,
-                             wrap_edges=wrap_edges)
+                             wrap_edges=wrap_edges, edge_count=len(edges))
 
     @classmethod
     def _from_ends(cls, n: int, tails: Sequence[int], heads: Sequence[int], name: str = "",
@@ -67,16 +71,32 @@ class LatticeGraph:
         them, without keeping the pairs."""
         _check_links(n, zip_longest(tails, heads))
         L = cls(n, (), name, wrap_edges)
-        L.__dict__.update(tails=tuple(tails), heads=tuple(heads))
+        L.__dict__.update(tails=tuple(tails), heads=tuple(heads), edge_count=len(tails))
         return L
+
+    def __getattr__(self, name: str):
+        # called for an attribute the instance lacks: on a lattice kept as its
+        # shape, the first read of a link field builds and checks all three
+        shape = self.__dict__.get("_shape")
+        if shape is None or name not in ("tails", "heads", "wrap_edges"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        tails, heads, wraps = _hypercubic_links(*shape)
+        _check_links(self.site_count, zip_longest(tails, heads))
+        self.__dict__.update(tails=tails, heads=heads, wrap_edges=wraps)
+        return self.__dict__[name]
 
     @functools.cached_property
     def edges(self) -> tuple[Edge, ...]:
         return tuple(zip(self.tails, self.heads))
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.tails)
+    @functools.cached_property
+    def components(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """`component_labels` over the links, run on first use, as tuples, since
+        every caller shares them.  A hypercubic lattice's grid links join every
+        site to site 0, so it reads none."""
+        if "_shape" in self.__dict__:
+            return (0,) * self.site_count, (0,)
+        return tuple(map(tuple, component_labels(self.site_count, zip(self.tails, self.heads))))
 
 
 def lattice_chain(n_sites: int, periodic: bool = False) -> LatticeGraph:
@@ -86,7 +106,8 @@ def lattice_chain(n_sites: int, periodic: bool = False) -> LatticeGraph:
 
 def lattice_hypercubic(dims: Sequence[int],
                        periodic: Sequence[bool] | bool = True) -> LatticeGraph:
-    """Row-major hypercubic lattice with per-dimension periodicity.
+    """Row-major hypercubic lattice with per-dimension periodicity, kept as its
+    shape until its links are read.
 
     Periodic dimensions of extent 1 contribute self-loop links, keeping the
     link count at d*V for a fully periodic lattice.
@@ -103,6 +124,19 @@ def lattice_hypercubic(dims: Sequence[int],
     volume = math.prod(dims)
     if d * volume > sys.maxsize:  # refused before anything is allocated
         raise BadDims(f"a lattice of {volume} sites is too large to index")
+    name = "x".join(map(str, dims))
+    tags = "".join("p" if p else "o" for p in periodic)
+    L = LatticeGraph.__new__(LatticeGraph)
+    # d*V links, less one layer of V/n for each open dimension of extent n
+    L.__dict__.update(site_count=volume, name=f"hyper{name}_{tags}", _shape=(dims, periodic),
+                      edge_count=d * volume - sum(volume // n for n, p in zip(dims, periodic)
+                                                  if not p))
+    return L
+
+
+def _hypercubic_links(dims: tuple[int, ...], periodic: tuple[bool, ...]):
+    """The tails, heads and per-dimension wraparound link indices of a hypercubic lattice."""
+    d, volume = len(dims), math.prod(dims)
     strides = [math.prod(dims[k + 1:]) for k in range(d)]
     open_dims = [(j, s, n) for j, (s, n) in enumerate(zip(strides, dims)) if not periodic[j]]
     # slot x*d + k: site x's link along dimension k, its head None past an
@@ -129,10 +163,7 @@ def lattice_hypercubic(dims: Sequence[int],
     wraps = tuple(tuple(link_index(x, k) for b in range(s * (n - 1), volume, s * n)
                         for x in range(b, b + s)) if periodic[k] else ()
                   for k, (s, n) in enumerate(zip(strides, dims)))
-    name = "x".join(map(str, dims))
-    tags = "".join("p" if p else "o" for p in periodic)
-    return LatticeGraph._from_ends(volume, tuple(tails), tuple(heads),
-                                   f"hyper{name}_{tags}", wraps)
+    return tuple(tails), tuple(heads), wraps
 
 
 def component_labels(site_count: int, edges: Iterable[Edge]) -> tuple[list[int], list[int]]:

@@ -27,7 +27,7 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 from ._values import frozen
 from .cyclo import Cyclotomic
@@ -61,7 +61,7 @@ if TYPE_CHECKING:
 
 NUMERIC_TOL = 1e-9
 SNAP_TOL = 1e-6
-# Size caps (README, exit codes): at either one a 2-site count takes about a second
+# Size caps (README, exit codes): at either one a 2-site count takes under a second
 MAX_TRIVIAL_REP_ENTRIES = 2 ** 19
 MAX_SITE_MODES = 2 ** 17
 
@@ -296,16 +296,28 @@ def _rep(G: FiniteGroup, matrices: Sequence[Sequence[Sequence]], entry) -> Unita
     """The validated rep of `matrices`, each entry converted by `entry`."""
     if len(matrices) != G.order:
         raise BadParams(f"{len(matrices)} matrices for group of order {G.order}")
-    mats = tuple(tuple(tuple(map(entry, row)) for row in m) for m in matrices)
+    mats = _per_object(lambda m: tuple(tuple(map(entry, row)) for row in m), matrices)
     dim = len(mats[0])
     if dim < 1:
         raise BadParams(f"representation dimension must be positive, got {dim}")
     if any(len(m) != dim or any(len(r) != dim for r in m) for m in mats):
         raise BadParams("matrices are not all square of equal dimension")
     exact = None if entry is complex else mats
-    rep = UnitaryRep(G, dim, exact, mats if exact is None else tuple(map(mat_to_complex, mats)))
+    rep = UnitaryRep(G, dim, exact, mats if exact is None else _per_object(mat_to_complex, mats))
     _validate_rep_numeric(rep)
     return rep
+
+
+def _per_object(fn, items: Iterable) -> tuple:
+    """fn(x) for each x, called once per distinct object, in one pass; each is
+    kept alive while the others are read, so no id is reused."""
+    made: dict[int, tuple] = {}  # id -> (x, fn(x))
+    out = []
+    for x in items:
+        if id(x) not in made:
+            made[id(x)] = (x, fn(x))
+        out.append(made[id(x)][1])
+    return tuple(out)
 
 
 def _matrices(*reps: UnitaryRep):
@@ -319,15 +331,22 @@ def _validate_rep_numeric(rep: UnitaryRep) -> None:
     eye = tuple(tuple(1 + 0j if i == j else 0j for j in range(d)) for i in range(d))
     if not _close(rep.numeric[G.identity], eye):
         raise NotAHomomorphism("identity element is not mapped to the identity matrix")
-    for g in range(G.order):
-        U = rep.numeric[g]
-        if not _close(_mat_mul(U, _adjoint(U), 0j), eye):
-            raise NotAHomomorphism(f"matrix for element {g} is not unitary")
+    # identical objects give identical results, so each distinct matrix, and each
+    # distinct (rho(a), rho(g), rho(ag)) triple, is checked at its first element
+    passed: set = set()
+    for g, U in enumerate(rep.numeric):
+        if id(U) not in passed:
+            if not _close(_mat_mul(U, _adjoint(U), 0j), eye):
+                raise NotAHomomorphism(f"matrix for element {g} is not unitary")
+            passed.add(id(U))
     for g in G.generators:
         Ug = rep.numeric[g]
         for a in range(G.order):
-            if not _close(_mat_mul(rep.numeric[a], Ug, 0j), rep.numeric[G.mul(a, g)]):
-                raise NotAHomomorphism(f"multiplicativity fails at ({a}, {g})")
+            Ua, Uag = rep.numeric[a], rep.numeric[G.mul(a, g)]
+            if (id(Ua), id(Ug), id(Uag)) not in passed:
+                if not _close(_mat_mul(Ua, Ug, 0j), Uag):
+                    raise NotAHomomorphism(f"multiplicativity fails at ({a}, {g})")
+                passed.add((id(Ua), id(Ug), id(Uag)))
 
 
 def rep_from_generator_images(G: FiniteGroup, images: Sequence[Sequence[Sequence]]) -> UnitaryRep:

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from gaugecount import (
     action_trivial,
     binary_icosahedral_group,
     binary_octahedral_group,
+    binary_tetrahedral_group,
     burnside_count,
     conjugacy_classes,
     constant_class_function,
@@ -50,6 +52,7 @@ from gaugecount import (
     make_twist,
     one_dim_to_rep,
     oracle_count,
+    site_characters,
     quaternion_group,
     su2_fundamental_rep,
     symmetric_group,
@@ -467,6 +470,119 @@ def test_equal_site_characters_are_grouped_by_value(count_muls):
     per_site, muls = count_muls(lambda: count(S3, L, ScalarMatterPerSite(actions), classes=cls))
     assert per_site.total == count(S3, L, ScalarMatter(actions[0]), classes=cls).total
     assert muls < 3 * small
+
+
+# ---------------------------------------------------------------------------
+# hypercubic lattices kept as their shape, and the tally of site characters
+
+def _assert_same_report(a, b):
+    """Equal reports, and every exact value in the same ring: Cyclotomic
+    equality holds across ring orders, which follow the order of operations."""
+    assert a == b
+    assert [v.order for v in a.per_class] == [v.order for v in b.per_class]
+    assert a.free_factor.order == b.free_factor.order
+
+
+@pytest.mark.parametrize("dims, periodic", [((4, 4), True), ((3, 4), (True, False)),
+                                            ((2, 2, 2), True), ((4, 2), False)])
+def test_shape_kept_lattice_counts_as_its_explicit_copy(dims, periodic):
+    T, Z4 = binary_tetrahedral_group(), cyclic_group(4)
+    fermion = FermionMatter((su2_fundamental_rep(T),), 2, "staggered")
+    charged = FermionMatter((one_dim_to_rep(zn_charge_rep(Z4, 1)),), 1, "staggered")
+    row = range(dims[-1])  # row 0 in row-major order
+    for G, matter, wrap_twist, attach in ((Z4, PureGauge(), False, None),
+                                          (T, fermion, False, None),
+                                          (Z4, charged, True, None),
+                                          (Z4, PureGauge(), False, row),
+                                          (T, fermion, False, row)):
+        built, reports = lattice_hypercubic(dims, periodic), []
+        for L in (lattice_hypercubic(dims, periodic),
+                  LatticeGraph(built.site_count, built.edges, built.name, built.wrap_edges)):
+            tw = twist_on_wrap_edges(L, inversion_endo(G), 0) if wrap_twist else None
+            reports.append(count(G, L, matter, twist=tw, dangling_attach=attach))
+        _assert_same_report(*reports)
+
+
+@pytest.fixture
+def union_find_calls(monkeypatch):
+    """The site counts of every component_labels call, cached components included."""
+    calls = []
+    plain = component_labels
+
+    def spy(site_count, edges):
+        calls.append(site_count)
+        return plain(site_count, edges)
+
+    monkeypatch.setattr("gaugecount.lattice.component_labels", spy)
+    monkeypatch.setattr("gaugecount.counting.component_labels", spy)
+    return calls
+
+
+def test_untwisted_hypercubic_count_reads_no_link(union_find_calls):
+    S5, T, Z4 = symmetric_group(5), binary_tetrahedral_group(), cyclic_group(4)
+    links = {"tails", "heads", "edges", "wrap_edges"}
+    for G, matter in ((Z4, PureGauge()),
+                      (S5, ScalarMatter(action_coset(S5, first_proper_subgroup(S5)))),
+                      (T, FermionMatter((su2_fundamental_rep(T),), 2, "staggered"))):
+        for dims, periodic in (((8, 8), True), ((4, 6), (True, False)), ((2, 3, 4), False)):
+            L = lattice_hypercubic(dims, periodic)
+            count(G, L, matter)
+            # identity maps leave every link in place
+            count(G, L, matter, twist=make_twist(L, identity_endo(G), range(L.edge_count)))
+            assert not links & L.__dict__.keys(), (G.name, dims, periodic)
+    assert union_find_calls == []
+    # a wrap twist removes links, and a dangling row moves them to the sink site:
+    # both read the links and join the rest by union-find
+    L = lattice_hypercubic((8, 8))
+    count(Z4, L, PureGauge(), twist=twist_on_wrap_edges(L, inversion_endo(Z4), 0))
+    assert {"tails", "heads", "wrap_edges"} <= L.__dict__.keys()
+    assert union_find_calls == [64]
+    L = lattice_hypercubic((8, 8), periodic=False)
+    count(Z4, L, PureGauge(), dangling_attach=range(8))
+    assert {"tails", "heads"} <= L.__dict__.keys()
+    assert union_find_calls == [64, 66]  # the virtual site, and the sink site
+    # a lattice built from pairs runs union-find once, on its first count
+    P = LatticeGraph(L.site_count, L.edges)
+    for _ in range(2):
+        count(Z4, P, PureGauge())
+    assert union_find_calls == [64, 66, 64]
+
+
+def test_site_tally_by_identity_matches_a_counter(monkeypatch):
+    """The identity scans and the Counter they fall back to find the same
+    objects in the same first-seen order, so every report is the same."""
+    from gaugecount import counting
+
+    S3, Z6 = symmetric_group(3), cyclic_group(6)
+    L = lattice_hypercubic((4, 6))
+    cls = conjugacy_classes(S3)
+    coset = [action_coset(S3, first_proper_subgroup(S3)) for _ in range(3)]
+    regular = [action_left_mult(S3) for _ in range(3)]
+    # six distinct action objects, two distinct values, more than the scans take
+    actions = [(coset + regular)[x * 5 % 6] for x in range(L.site_count)]
+    per_site = site_characters(ScalarMatterPerSite(tuple(actions)), cls, L.site_count)
+    # equal but distinct characters of three ring orders: four objects, and one per site
+    charges = [x * x % 6 for x in range(L.site_count)]
+    one_each = zn_site_characters(6, charges, conjugacy_classes(Z6))
+    four = [one_each[0], one_each[1], zn_site_characters(6, [1], conjugacy_classes(Z6))[0],
+            one_each[2]]
+    mixed = [four[x * 7 % 4] for x in range(L.site_count)]
+    for G, chars in ((S3, per_site), (Z6, one_each), (Z6, mixed)):
+        ids = list(Counter(map(id, chars)).items())
+        if len(ids) > counting._SCANNED_CHARACTERS:
+            assert counting._identity_tally(chars) is None
+        else:
+            assert list(counting._identity_tally(chars).items()) == ids
+        cls = conjugacy_classes(G)
+        plain = count_general(G, cls, L, chars, require_nonnegative=False)
+        with monkeypatch.context() as m:
+            m.setattr(counting, "_identity_tally", lambda chars: None)
+            by_counter = count_general(G, cls, L, chars, require_nonnegative=False)
+        with monkeypatch.context() as m:
+            m.setattr(counting, "_SCANNED_CHARACTERS", len(ids))
+            by_scans = count_general(G, cls, L, chars, require_nonnegative=False)
+        _assert_same_report(plain, by_counter)
+        _assert_same_report(plain, by_scans)
 
 
 def test_zn_closed_forms_match_engine():

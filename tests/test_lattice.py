@@ -99,6 +99,7 @@ def test_connected_components():
     for L, n in ((lattice_chain(4), 1), (LatticeGraph(3, ((0, 1),)), 2),
                  (LatticeGraph(1, ()), 1), (LatticeGraph(0, ()), 0)):
         assert len(component_labels(L.site_count, L.edges)[1]) == n
+        assert L.components == tuple(map(tuple, component_labels(L.site_count, L.edges)))
 
 
 def _hypercubic_reference(dims, periodic):
@@ -123,13 +124,43 @@ def _hypercubic_reference(dims, periodic):
     return tuple(edges), tuple(map(tuple, wraps)), name
 
 
-def test_hypercubic_matches_per_site_reference():
-    for d in range(1, 5):
+def _hypercubic_grid(max_d=4):
+    """Every (dims, periodic) with up to max_d dimensions of extent 1, 2, 3 or 5."""
+    for d in range(1, max_d + 1):
         for dims in itertools.product((1, 2, 3, 5), repeat=d):
             for periodic in itertools.product((False, True), repeat=d):
-                L = lattice_hypercubic(dims, periodic)
-                edges, wraps, name = _hypercubic_reference(dims, periodic)
-                assert (L.edges, L.wrap_edges, L.name) == (edges, wraps, name), (dims, periodic)
+                yield dims, periodic
+
+
+def test_hypercubic_matches_per_site_reference():
+    for dims, periodic in _hypercubic_grid():
+        L = lattice_hypercubic(dims, periodic)
+        edges, wraps, name = _hypercubic_reference(dims, periodic)
+        assert (L.edges, L.wrap_edges, L.name) == (edges, wraps, name), (dims, periodic)
+
+
+def test_shape_kept_lattice_equals_its_explicit_links():
+    """Counts and components come from the shape alone; the links, built on
+    first read, give a lattice equal to the one built from the reference pairs."""
+    for dims, periodic in _hypercubic_grid():
+        L = lattice_hypercubic(dims, periodic)
+        edges, wraps, name = _hypercubic_reference(dims, periodic)
+        P = LatticeGraph(L.site_count, edges)
+        assert (L.site_count, L.edge_count) == (P.site_count, P.edge_count), (dims, periodic)
+        assert L.components == tuple(map(tuple, component_labels(P.site_count, edges)))
+        assert not {"tails", "heads", "wrap_edges"} & L.__dict__.keys()
+        assert L == P and hash(L) == hash(P)
+        assert (L.edge_count, L.wrap_edges, L.name) == (len(edges), wraps, name)
+        assert repr(L) == repr(LatticeGraph(L.site_count, edges, name, wraps))
+
+
+def test_shape_kept_links_are_checked_when_built(monkeypatch):
+    L = lattice_hypercubic((2,), periodic=False)
+    monkeypatch.setattr("gaugecount.lattice._hypercubic_links",
+                        lambda dims, periodic: ((0,), (2,), ((),)))
+    with pytest.raises(BadParams, match=r"^link 0 endpoint out of range: \(0, 2\)$"):
+        L.heads
+    assert "heads" not in L.__dict__
 
 
 def _components_reference(site_count, edges):
@@ -291,20 +322,18 @@ def test_both_constructors_agree():
         assert L.edges == tuple(edges) and L.edge_count == len(edges)
         _assert_pairs_agree(L)
     G = cyclic_group(2)
-    for d in range(1, 5):
-        for dims in itertools.product((1, 2, 3, 5), repeat=d):
-            for periodic in itertools.product((False, True), repeat=d):
-                L = lattice_hypercubic(dims, periodic)
-                _assert_pairs_agree(L)
-                if d == 4:  # the extension and the text round trip up to 125 sites
-                    continue
-                attach = rng.sample(range(L.site_count), rng.randint(1, L.site_count))
-                L2, _ = dangling_boundary_extension(L, attach, G)
-                assert L2.edges == L.edges + tuple((a, L.site_count) for a in attach)
-                _assert_pairs_agree(L2)
-                marks = frozenset(rng.sample(range(L2.edge_count), min(3, L2.edge_count)))
-                back, marked = parse_edge_list(emit_edge_list(L2, marks))
-                assert (back, hash(back), marked) == (L2, hash(L2), marks)
+    for dims, periodic in _hypercubic_grid():
+        L = lattice_hypercubic(dims, periodic)
+        _assert_pairs_agree(L)
+        if len(dims) == 4:  # the extension and the text round trip up to 125 sites
+            continue
+        attach = rng.sample(range(L.site_count), rng.randint(1, L.site_count))
+        L2, _ = dangling_boundary_extension(L, attach, G)
+        assert L2.edges == L.edges + tuple((a, L.site_count) for a in attach)
+        _assert_pairs_agree(L2)
+        marks = frozenset(rng.sample(range(L2.edge_count), min(3, L2.edge_count)))
+        back, marked = parse_edge_list(emit_edge_list(L2, marks))
+        assert (back, hash(back), marked) == (L2, hash(L2), marks)
     with pytest.raises(BadParams, match="^negative site count -1$"):
         LatticeGraph._from_ends(-1, (), ())
 

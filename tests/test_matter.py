@@ -617,6 +617,47 @@ def test_rep_from_numeric_checks_every_product_with_a_generator():
         rep_from_numeric(S3, swapped)
 
 
+def test_each_distinct_matrix_object_is_converted_and_checked_once(monkeypatch):
+    products = [0]
+    plain = matter._mat_mul
+
+    def counted(a, b, zero):
+        products[0] += 1
+        return plain(a, b, zero)
+
+    monkeypatch.setattr(matter, "_mat_mul", counted)
+    # |G| references to one identity: one conversion, one unitarity check and
+    # one product check, where a check per element and generator made 360
+    rep = trivial_rep(binary_icosahedral_group(), 66)
+    assert products[0] == 2
+    assert len({id(m) for m in rep.exact}) == len({id(m) for m in rep.numeric}) == 1
+    # identical objects give identical results: a shared matrix that fails is
+    # refused at the element where a copy of it would be
+    Z4 = cyclic_group(4)
+    eye, flip, bad = [[1]], [[-1]], [[2]]
+    for mats in ([eye, bad, eye, bad], [eye, flip, flip, flip], [eye, flip, eye, eye]):
+        copies = [[list(row) for row in m] for m in mats]
+        for build in (rep_from_numeric, rep_from_exact):
+            with pytest.raises(NotAHomomorphism) as shared:
+                build(Z4, mats)
+            with pytest.raises(NotAHomomorphism) as copied:
+                build(Z4, copies)
+            assert str(shared.value) == str(copied.value)
+    # a sequence that makes a fresh matrix on every read converts each one once
+    su2 = su2_fundamental_rep(binary_tetrahedral_group())
+
+    class Fresh:
+        def __len__(self):
+            return len(su2.exact)
+
+        def __getitem__(self, g):
+            return [list(row) for row in su2.exact[g]]
+
+    products[0] = 0
+    assert rep_from_exact(su2.group, Fresh()) == su2
+    assert products[0] == 24 + 24 * len(su2.group.generators)
+
+
 def test_rep_from_numeric_rejects_non_finite_entries():
     Z2 = cyclic_group(2)
     for bad in (float("nan"), float("inf")):

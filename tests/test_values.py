@@ -9,6 +9,8 @@ import dataclasses
 
 import pytest
 
+from gaugecount._values import field, frozen
+
 from gaugecount import (
     BadParams,
     CountReport,
@@ -152,3 +154,16 @@ def test_a_value_class_holding_a_dict_stays_unhashable():
     phi = identity_endo(cyclic_group(2))
     assert _hash(TwistSpec({0: phi})) is _hash(ref({0: phi})) is TypeError
     assert repr(TwistSpec({0: phi})) == repr(ref({0: phi}))
+
+
+def test_a_field_without_a_default_leaves_no_class_attribute():
+    @frozen
+    class Pair:
+        first: int
+        second: int = field(compare=False)
+
+    assert "second" not in Pair.__dict__ and not hasattr(Pair, "second")
+    assert Pair(1, 2) == Pair(1, 3) and Pair(1, 2) != Pair(2, 2)
+    assert repr(Pair(second=2, first=1)).endswith("Pair(first=1, second=2)")
+    with pytest.raises(TypeError):
+        Pair(1)
