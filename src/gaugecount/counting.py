@@ -26,11 +26,13 @@ The cost follows distinct characters and nonzero entries, not sites or class
 tuples: sites with equal character values share one power, and elimination
 joins only the nonzero entries of the tables it sums out.  A count that
 removes no link (no non-constant map, no sink link) takes the lattice's cached
-components, so on a hypercubic lattice it reads no link at all; a twist that
-removes or moves links takes one union-find step per link.  Per site a count
-takes one identity scan per distinct character object, or one Counter pass
-past a few of them; only two or more components add a label per site and a
-tally of links out.
+components; one that removes or moves only wraparound and dangling links of a
+hypercubic lattice takes them from its shape (the open grid still joins every
+physical site, the virtual site alone once all its links are gone), so neither
+reads a link tuple; any other twist takes one union-find step per link.  Per
+site a count takes one identity scan per distinct character object, or one
+Counter pass past a few of them; only two or more components from union-find
+add a label per site and a tally of links out.
 
 The result must come out a nonnegative integer; anything else raises
 NonIntegralResult with the failed witness attached.  The site characters
@@ -165,24 +167,35 @@ def count_general(G: FiniteGroup,
     chars = site_chars
     if len(chars) != V:
         raise BadParams(f"{len(chars)} site characters for {V} sites")
+    lone = None  # the virtual site of a lattice kept as its shape, if left no link
     if sink or map_of:  # only a twist that moves or removes links reads them
-        tails, heads = L.tails, L.heads
-        warnings += [f"twisted link {i} is a self-loop" for i in sorted(sink | map_of.keys())
-                     if tails[i] == heads[i]]
-        hs = heads
-        if sink:  # the sink site V: its regular character on a copy, and V as every sink head
+        removed = sorted(sink | map_of.keys())
+        shaped = L._shape_ends(removed)
+        if sink:  # the sink site V: its regular character on a copy
             chars = [*chars, ClassFunction(G, (Cyclotomic.rational(G.order),)
                                            + (Cyclotomic.zero(),) * (n_cls - 1))]
-            hs = map({i: V for i in sink}.get, range(E), heads)
-        untwisted = compress(zip(tails, hs), keep) if map_of else zip(tails, hs)  # mapped out
-        labels, roots = component_labels(len(chars), untwisted)
+        if shaped is None:  # V as every sink head, and union-find over the links kept
+            tails, heads = L.tails, L.heads
+            ends = {i: (tails[i], heads[i]) for i in removed}
+            hs = map({i: V for i in sink}.get, range(E), heads) if sink else heads
+            untwisted = compress(zip(tails, hs), keep) if map_of else zip(tails, hs)  # mapped out
+            labels, roots = component_labels(len(chars), untwisted)
+        else:  # only wraparound and dangling links gone: the open grid joins every
+            # physical site, and the sink site with them
+            (ends, lone), labels, roots = shaped, [0] * len(chars), [0]
+        warnings += [f"twisted link {i} is a self-loop" for i, (t, h) in ends.items() if t == h]
     else:
         labels, roots = L.components
     # sites per (component, character object) in first-seen order; a lone
     # component holds every site, and every link leads out of it
     if len(roots) == 1:
         counts = _identity_tally(chars) or Counter(map(id, chars))
-        tally, out_links = {(0, key): m for key, m in counts.items()}, [E]
+        tally, out_links = {}, [E]
+        if lone is not None:  # but the virtual site alone: component 1, with no link out
+            counts[id(chars[lone])] -= 1
+            labels[lone], tally[1, id(chars[lone])], out_links = 1, 1, [E, 0]
+            roots.append(lone)
+        tally.update(((0, key), m) for key, m in counts.items() if m)
     else:
         tally = Counter(zip(labels, map(id, chars)))
         out_links = Counter(map(labels.__getitem__, L.tails))
@@ -205,7 +218,7 @@ def count_general(G: FiniteGroup,
         multiplicity[k][id(same[key])] += m
     into: dict[int, set[tuple[int, int]]] = {}  # head site -> (map, tail component)
     for i, m in map_of.items():
-        into.setdefault(L.heads[i], set()).add((m, labels[L.tails[i]]))
+        into.setdefault(ends[i][1], set()).add((m, labels[ends[i][0]]))
     # free: only sink links into it, if any; such a site is a component with
     # no links out, and its own root (never the sink site, which has links in)
     free = [x for k, x in enumerate(roots) if not out_links[k] and x not in into]

@@ -4,8 +4,9 @@ A lattice is an arbitrary multigraph.  Link i is directed from tails[i] to
 heads[i]; a gauge transformation acts on the link variable as
 g -> g_tail . g . g_head^-1, with the head factor routed through the twist
 endomorphism on twisted links.  `edges` zips the two tuples into pairs on first use.
-A hypercubic lattice is kept as its shape: its site and link counts are
-arithmetic, its link tuples and wraparound indices are built and checked on
+A hypercubic lattice, and its dangling extension, is kept as its shape: its
+site and link counts, its wraparound indices and the ends of its wraparound
+and dangling links are arithmetic, its link tuples are built and checked on
 first read, and its one component is known without reading a link.
 """
 
@@ -46,8 +47,9 @@ def _check_links(n: int, links: Iterable) -> None:
 @frozen
 class LatticeGraph:
     """Sites 0..site_count-1 and directed links, link i from tails[i] to heads[i];
-    parallel links and loops allowed.  Built from (tail, head) pairs, each checked,
-    or by `lattice_hypercubic` from its shape, whose links are built on first read."""
+    parallel links and loops allowed.  Built from (tail, head) pairs, each checked, or
+    by `lattice_hypercubic` (and its dangling extension) from its shape, whose links
+    are built on first read."""
 
     site_count: int
     tails: tuple[int, ...]
@@ -70,20 +72,40 @@ class LatticeGraph:
         """Link i from tails[i] to heads[i], checked as the pair constructor checks
         them, without keeping the pairs."""
         _check_links(n, zip_longest(tails, heads))
-        L = cls(n, (), name, wrap_edges)
-        L.__dict__.update(tails=tuple(tails), heads=tuple(heads), edge_count=len(tails))
-        return L
+        return _made(site_count=n, tails=tuple(tails), heads=tuple(heads), name=name,
+                     wrap_edges=wrap_edges, edge_count=len(tails))
 
     def __getattr__(self, name: str):
-        # called for an attribute the instance lacks: on a lattice kept as its
-        # shape, the first read of a link field builds and checks all three
+        # called for an attribute the instance lacks: on a lattice kept as its shape the
+        # wraparound indices are arithmetic; the first read of a link tuple builds and checks both
         shape = self.__dict__.get("_shape")
-        if shape is None or name not in ("tails", "heads", "wrap_edges"):
+        if shape is None or name not in ("tails", "heads", "wrap_edges", "_wrap_ends"):
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        tails, heads, wraps = _hypercubic_links(*shape)
+        dims, periodic, attach = shape
+        if name in ("wrap_edges", "_wrap_ends"):  # and each wraparound link's ends
+            wraps = _hypercubic_wraps(dims, periodic)
+            self.__dict__.update(wrap_edges=tuple(map(tuple, wraps)),
+                                 _wrap_ends={i: ends for w in wraps for i, ends in w.items()})
+            return self.__dict__[name]
+        tails, heads, wraps = _hypercubic_links(dims, periodic)
+        tails, heads = tails + attach, heads + (self.site_count - 1,) * len(attach)
         _check_links(self.site_count, zip_longest(tails, heads))
-        self.__dict__.update(tails=tails, heads=heads, wrap_edges=wraps)
+        self.__dict__.update(tails=tails, heads=heads)
+        self.__dict__.setdefault("wrap_edges", wraps)
         return self.__dict__[name]
+
+    def _shape_ends(self, links: Iterable[int]):
+        """From the shape: each of `links` -> (tail, head), and the virtual site if they hold
+        every dangling link; None unless each is a wraparound or dangling link of the shape."""
+        shape = self.__dict__.get("_shape")
+        if shape is None:
+            return None
+        attach, wraps = shape[2], self._wrap_ends
+        first, virtual = self.edge_count - len(attach), self.site_count - 1  # first dangling link
+        ends = {i: (attach[i - first], virtual) if i >= first else wraps.get(i) for i in links}
+        if None in ends.values():
+            return None
+        return ends, virtual if attach and sum(i >= first for i in ends) == len(attach) else None
 
     @functools.cached_property
     def edges(self) -> tuple[Edge, ...]:
@@ -93,7 +115,7 @@ class LatticeGraph:
     def components(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """`component_labels` over the links, run on first use, as tuples, since
         every caller shares them.  A hypercubic lattice's grid links join every
-        site to site 0, so it reads none."""
+        site to site 0, and its dangling links the virtual site, so it reads none."""
         if "_shape" in self.__dict__:
             return (0,) * self.site_count, (0,)
         return tuple(map(tuple, component_labels(self.site_count, zip(self.tails, self.heads))))
@@ -126,11 +148,16 @@ def lattice_hypercubic(dims: Sequence[int],
         raise BadDims(f"a lattice of {volume} sites is too large to index")
     name = "x".join(map(str, dims))
     tags = "".join("p" if p else "o" for p in periodic)
+    # d*V links, less one layer of V/n for each open dimension of extent n; no dangling row
+    return _made(site_count=volume, name=f"hyper{name}_{tags}", _shape=(dims, periodic, ()),
+                 edge_count=d * volume - sum(volume // n for n, p in zip(dims, periodic)
+                                             if not p))
+
+
+def _made(**fields) -> LatticeGraph:
+    """A lattice of the given fields, none of them checked here."""
     L = LatticeGraph.__new__(LatticeGraph)
-    # d*V links, less one layer of V/n for each open dimension of extent n
-    L.__dict__.update(site_count=volume, name=f"hyper{name}_{tags}", _shape=(dims, periodic),
-                      edge_count=d * volume - sum(volume // n for n, p in zip(dims, periodic)
-                                                  if not p))
+    L.__dict__.update(fields)
     return L
 
 
@@ -138,7 +165,6 @@ def _hypercubic_links(dims: tuple[int, ...], periodic: tuple[bool, ...]):
     """The tails, heads and per-dimension wraparound link indices of a hypercubic lattice."""
     d, volume = len(dims), math.prod(dims)
     strides = [math.prod(dims[k + 1:]) for k in range(d)]
-    open_dims = [(j, s, n) for j, (s, n) in enumerate(zip(strides, dims)) if not periodic[j]]
     # slot x*d + k: site x's link along dimension k, its head None past an
     # open end; per block of s*n sites, all but the last s step s forward,
     # those wrap.  Every end is taken from `site`, so equal ends share one int
@@ -154,16 +180,24 @@ def _hypercubic_links(dims: tuple[int, ...], periodic: tuple[bool, ...]):
     if not all(periodic):
         keep = list(map(is_not, heads, repeat(None)))
         tails, heads = compress(tails, keep), compress(heads, keep)
+    return tuple(tails), tuple(heads), tuple(map(tuple, _hypercubic_wraps(dims, periodic)))
+
+
+def _hypercubic_wraps(dims: tuple[int, ...], periodic: tuple[bool, ...]) -> list[dict[int, Edge]]:
+    """Per dimension, each wraparound link's index -> (tail, head), in link
+    order, from the shape alone: the last layer's sites step back to the first."""
+    d, volume = len(dims), math.prod(dims)
+    strides = [math.prod(dims[k + 1:]) for k in range(d)]
+    open_dims = [(j, s, n) for j, (s, n) in enumerate(zip(strides, dims)) if not periodic[j]]
 
     def link_index(x: int, k: int) -> int:
-        # slot x*d + k less the None slots before it: per open dimension j,
+        # slot x*d + k less the slots past an open end before it: per open dimension j,
         # the sites below y on j's last layer, y counting x itself when j < k
         return x * d + k - sum(y // (s * n) * s + max(0, y % (s * n) - s * (n - 1))
                                for j, s, n in open_dims for y in (x + (j < k),))
-    wraps = tuple(tuple(link_index(x, k) for b in range(s * (n - 1), volume, s * n)
-                        for x in range(b, b + s)) if periodic[k] else ()
-                  for k, (s, n) in enumerate(zip(strides, dims)))
-    return tuple(tails), tuple(heads), wraps
+    return [{link_index(x, k): (x, x - s * (n - 1)) for b in range(s * (n - 1), volume, s * n)
+             for x in range(b, b + s)} if periodic[k] else {}
+            for k, (s, n) in enumerate(zip(strides, dims))]
 
 
 def component_labels(site_count: int, edges: Iterable[Edge]) -> tuple[list[int], list[int]]:
@@ -217,9 +251,11 @@ def make_twist(L: LatticeGraph, phi: GroupEndomorphism,
 
 def twist_on_wrap_edges(L: LatticeGraph, phi: GroupEndomorphism,
                         dim: int) -> TwistSpec:
-    """Twist every wraparound link of one hypercubic dimension."""
+    """Twist every wraparound link of one hypercubic dimension, which must be periodic."""
     if not L.wrap_edges or not 0 <= dim < len(L.wrap_edges):
         raise BadParams(f"lattice carries no wraparound data for dimension {dim}")
+    if not L.wrap_edges[dim]:
+        raise BadParams(f"dimension {dim} is open: it has no wraparound links to twist")
     return make_twist(L, phi, L.wrap_edges[dim])
 
 
@@ -231,7 +267,8 @@ def dangling_boundary_extension(L: LatticeGraph, attach_sites: Sequence[int],
     Sink links carry the constant-identity map, which freezes their tail
     transformations and leaves the virtual head site unconstrained.  They are
     added to the maps of `twist`, whose links must lie in L.  An empty attach
-    list returns the lattice unchanged with `twist` (empty when None).
+    list returns the lattice unchanged with `twist` (empty when None).  A lattice
+    kept as its shape gives an extension kept as its shape and the attach sites.
     """
     maps = dict(twist.maps) if twist is not None else {}
     if any(not 0 <= i < L.edge_count for i in maps):
@@ -243,10 +280,15 @@ def dangling_boundary_extension(L: LatticeGraph, attach_sites: Sequence[int],
             raise BadParams(f"attach site {s!r} is not an integer")
         if not 0 <= s < L.site_count:
             raise BadParams(f"attach site {s} out of range")
-    virtual, E = L.site_count, L.edge_count
-    L2 = LatticeGraph._from_ends(
-        virtual + 1, L.tails + tuple(attach_sites), L.heads + (virtual,) * len(attach_sites),
-        (L.name + "_dangling") if L.name else "dangling", L.wrap_edges)
+    attach, virtual, E = tuple(attach_sites), L.site_count, L.edge_count
+    ext = dict(site_count=virtual + 1, edge_count=E + len(attach),
+               name=(L.name + "_dangling") if L.name else "dangling")
+    shape = L.__dict__.get("_shape")
+    if shape is not None and not shape[2]:  # its links and the sink row built on first read
+        L2 = _made(**ext, _shape=(*shape[:2], attach))
+    else:  # L's links were checked when it was built, and each attach site above
+        L2 = _made(**ext, tails=L.tails + attach, heads=L.heads + (virtual,) * len(attach),
+                   wrap_edges=L.wrap_edges)
     maps.update(dict.fromkeys(range(E, L2.edge_count), constant_identity_endo(G)))
     return L2, TwistSpec(maps)
 

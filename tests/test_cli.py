@@ -258,6 +258,15 @@ def test_twist_config_variants(tmp_path, capsys):
     cfg = write_config(tmp_path, none, "none.json")
     assert main(["count", "--config", cfg]) == 2
 
+    # an open dimension has no wraparound links: refused, not counted untwisted
+    open_dim = {"group": {"family": "cyclic", "params": [4]},
+                "lattice": {"dims": [3, 3], "periodic": [False, True]},
+                "twist": {"endo": "inversion", "wrap_dim": 0}}
+    capsys.readouterr()
+    assert main(["count", "--config", write_config(tmp_path, open_dim, "open.json")]) == 2
+    assert capsys.readouterr().err == (
+        "error: BadParams: dimension 0 is open: it has no wraparound links to twist\n")
+
     inner = {
         "group": {"family": "dihedral", "params": [4]},
         "lattice": {"dims": [2], "periodic": True},

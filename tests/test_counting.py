@@ -498,9 +498,67 @@ def test_shape_kept_lattice_counts_as_its_explicit_copy(dims, periodic):
         built, reports = lattice_hypercubic(dims, periodic), []
         for L in (lattice_hypercubic(dims, periodic),
                   LatticeGraph(built.site_count, built.edges, built.name, built.wrap_edges)):
-            tw = twist_on_wrap_edges(L, inversion_endo(G), 0) if wrap_twist else None
+            # an open dimension 0 has no wraps to twist, and is refused
+            tw = (twist_on_wrap_edges(L, inversion_endo(G), 0)
+                  if wrap_twist and L.wrap_edges[0] else None)
             reports.append(count(G, L, matter, twist=tw, dangling_attach=attach))
         _assert_same_report(*reports)
+
+
+def test_shape_kept_boundaries_count_as_their_explicit_copies(union_find_calls):
+    """Seeded: wrap twists (inner, inversion, constant and identity maps, on one
+    or more dimensions) and dangling rows on lattices kept as their shape give
+    the reports of copies built from pairs, and run union-find only when a twist
+    also moves or removes a grid link, the fallback."""
+    rng = random.Random(20261020)
+    T, S3, Z4 = binary_tetrahedral_group(), symmetric_group(3), cyclic_group(4)
+    setups = []
+    for G, rep in ((T, su2_fundamental_rep(T)), (S3, None),
+                   (Z4, one_dim_to_rep(zn_charge_rep(Z4, 1)))):
+        g = next((g for g in range(G.order)
+                  if any(G.mul(g, x) != G.mul(x, g) for x in range(G.order))), 1)
+        maps = [identity_endo(G), constant_identity_endo(G), inner_automorphism(G, g)]
+        matters = [PureGauge(), ScalarMatter(action_coset(G, first_proper_subgroup(G)))]
+        if G.is_abelian():
+            maps.append(inversion_endo(G))
+        if rep is not None:
+            matters.append(FermionMatter((rep,), 1, "trivial"))
+        setups.append((G, conjugacy_classes(G), maps, matters))
+    moved = 0
+    for _ in range(150):
+        G, cls, maps, matters = rng.choice(setups)
+        d = rng.randint(1, 3)
+        dims = tuple(rng.randint(1, 4) for _ in range(d))
+        periodic = tuple(rng.random() < 0.7 for _ in range(d))
+        matter = rng.choice(matters)
+        ref = lattice_hypercubic(dims, periodic)
+        pick = {k: rng.choice(maps) for k in range(d) if ref.wrap_edges[k] and rng.random() < 0.6}
+        grid = sorted(set(range(ref.edge_count)) - {i for w in ref.wrap_edges for i in w})
+        cut = rng.choice(grid) if grid and rng.random() < 0.2 else None  # the fallback
+        cut_map = rng.choice(maps[1:])
+        V = ref.site_count
+        attach = rng.choices(range(V), k=rng.randint(1, V + 1)) if rng.random() < 0.5 else None
+        # twist the dangling links of an extension anew, as count_general allows
+        redo = {i: rng.choice(maps) for i in range(ref.edge_count, ref.edge_count + len(attach))
+                if rng.random() < 0.5} if attach and rng.random() < 0.4 else None
+        reports, calls = [], []
+        for L in (lattice_hypercubic(dims, periodic),
+                  LatticeGraph(V, ref.edges, ref.name, ref.wrap_edges)):
+            tw = {i: phi for k, phi in pick.items() for i in L.wrap_edges[k]}
+            tw.update({cut: cut_map} if cut is not None else {})
+            before = len(union_find_calls)
+            if redo is None:
+                reports.append(count(G, L, matter, twist=TwistSpec(tw), dangling_attach=attach))
+            else:
+                L2, sinks = dangling_boundary_extension(L, attach, G, TwistSpec(tw))
+                chars = site_characters(matter, cls, V) + [constant_class_function(cls, 1)]
+                reports.append(count_general(G, cls, L2, chars, TwistSpec({**sinks.maps, **redo})))
+            calls.append(len(union_find_calls) - before)
+        _assert_same_report(*reports)
+        fallback = cut is not None and cut_map.image != identity_endo(G).image
+        assert (calls[0] > 0) == fallback, (dims, periodic, pick, cut, attach, redo)
+        moved += bool(pick or attach) and not fallback
+    assert moved > 50
 
 
 @pytest.fixture
@@ -531,18 +589,39 @@ def test_untwisted_hypercubic_count_reads_no_link(union_find_calls):
             count(G, L, matter, twist=make_twist(L, identity_endo(G), range(L.edge_count)))
             assert not links & L.__dict__.keys(), (G.name, dims, periodic)
     assert union_find_calls == []
-    # a wrap twist removes links, and a dangling row moves them to the sink site:
-    # both read the links and join the rest by union-find
+    # a wrap twist removes links, and a dangling row moves them to the sink site,
+    # but the open grid still joins every physical site: the ends of the links
+    # removed come from the shape, and no link tuple is built
+    Z6, O = cyclic_group(6), binary_octahedral_group()
+    inner = inner_automorphism(O, next(g for g in range(O.order)
+                                       if any(O.mul(g, x) != O.mul(x, g) for x in range(O.order))))
+    for G, matter, dims, periodic, phi, attach in (  # the ladder's boundary jobs, and mixes
+            (Z4, PureGauge(), (64, 64), False, None, range(64)),
+            (Z6, FermionMatter((one_dim_to_rep(zn_charge_rep(Z6, 1)),), 1, "trivial"),
+             (64, 64), True, inversion_endo(Z6), None),
+            (O, FermionMatter((su2_fundamental_rep(O),), 2, "staggered"), (32, 32), True,
+             inner, None),
+            (Z4, PureGauge(), (6, 5), (True, False), inversion_endo(Z4), (0, 3, 3, 29)),
+            (Z4, PureGauge(), (4, 4), True, constant_identity_endo(Z4), range(16))):
+        L, cls = lattice_hypercubic(dims, periodic), conjugacy_classes(G)
+        tw = twist_on_wrap_edges(L, phi, 0) if phi is not None else None
+        count(G, L, matter, twist=tw, dangling_attach=attach)
+        # the extension that count builds, counted as count counts it
+        L2, sinks = dangling_boundary_extension(L, attach or (), G, tw)
+        count_general(G, cls, L2, site_characters(matter, cls, L.site_count)
+                      + [constant_class_function(cls, 1)] * (L2.site_count - L.site_count), sinks)
+        assert not {"tails", "heads", "edges"} & (L.__dict__.keys() | L2.__dict__.keys())
+    assert union_find_calls == []
+    # a twist on a grid link may cut the grid: it reads the links and runs union-find
     L = lattice_hypercubic((8, 8))
-    count(Z4, L, PureGauge(), twist=twist_on_wrap_edges(L, inversion_endo(Z4), 0))
-    assert {"tails", "heads", "wrap_edges"} <= L.__dict__.keys()
-    assert union_find_calls == [64]
-    L = lattice_hypercubic((8, 8), periodic=False)
-    count(Z4, L, PureGauge(), dangling_attach=range(8))
+    count(Z4, L, PureGauge(), twist=make_twist(L, inversion_endo(Z4), [0]))
     assert {"tails", "heads"} <= L.__dict__.keys()
-    assert union_find_calls == [64, 66]  # the virtual site, and the sink site
-    # a lattice built from pairs runs union-find once, on its first count
+    assert union_find_calls == [64]
+    # so does a dangling row of a lattice built from pairs, for the virtual
+    # site and the sink site, and it runs union-find once, on its first count
     P = LatticeGraph(L.site_count, L.edges)
+    count(Z4, P, PureGauge(), dangling_attach=range(8))
+    assert union_find_calls == [64, 66]
     for _ in range(2):
         count(Z4, P, PureGauge())
     assert union_find_calls == [64, 66, 64]

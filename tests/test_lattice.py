@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 import tracemalloc
 from collections import deque
 from fractions import Fraction
@@ -232,11 +233,27 @@ def test_twist_spec_checks_its_maps():
         dangling_boundary_extension(L, (0,), G, SimpleNamespace(maps={1: bogus}))
 
 
+def test_wrap_edges_come_from_the_shape():
+    """Wraparound indices read before the links match the reference, and
+    leave the link tuples unbuilt until they are read."""
+    for dims, periodic in _hypercubic_grid(3):
+        L = lattice_hypercubic(dims, periodic)
+        edges, wraps, _ = _hypercubic_reference(dims, periodic)
+        assert L.wrap_edges == wraps, (dims, periodic)
+        assert not {"tails", "heads"} & L.__dict__.keys()
+        assert L.edges == edges and L.wrap_edges == wraps
+
+
 def test_twist_on_wrap_edges():
     G = cyclic_group(3)
     torus = lattice_hypercubic((2, 2), periodic=True)
     tw = twist_on_wrap_edges(torus, inversion_endo(G), 0)
     assert set(tw.maps) == set(torus.wrap_edges[0])
+    # an open dimension has no wraparound links: twisting them is refused
+    cylinder = lattice_hypercubic((3, 3), (False, True))
+    with pytest.raises(BadParams, match="^dimension 0 is open: it has no wraparound links"):
+        twist_on_wrap_edges(cylinder, inversion_endo(G), 0)
+    assert set(twist_on_wrap_edges(cylinder, inversion_endo(G), 1).maps) == {5, 11, 14}
     with pytest.raises(BadParams):
         twist_on_wrap_edges(torus, inversion_endo(G), 5)
     bare = LatticeGraph(2, ((0, 1),))
@@ -264,6 +281,46 @@ def test_dangling_boundary_extension():
     # a twist naming a link beyond L (a sink link of the extension) is refused
     with pytest.raises(BadParams):
         dangling_boundary_extension(L, (1,), G, tw)
+
+
+def test_shape_kept_extension_equals_the_one_from_ends():
+    """A lattice kept as its shape extends to one kept as its shape: equal, in
+    hash and repr too, to the extension of a copy built from pairs."""
+    rng = random.Random(20261020)
+    G = cyclic_group(2)
+    for dims, periodic in _hypercubic_grid(3):
+        L = lattice_hypercubic(dims, periodic)
+        attach = rng.choices(range(L.site_count), k=rng.randint(1, L.site_count + 2))
+        S, sinks = dangling_boundary_extension(L, attach, G)
+        P = LatticeGraph(L.site_count, _hypercubic_reference(dims, periodic)[0], L.name,
+                         L.wrap_edges)
+        R, ref_sinks = dangling_boundary_extension(P, attach, G)
+        assert "_shape" in S.__dict__ and "_shape" not in R.__dict__
+        assert (S.site_count, S.edge_count, S.name) == (R.site_count, R.edge_count, R.name)
+        assert S.components == R.components and sinks == ref_sinks
+        assert not {"tails", "heads", "wrap_edges"} & S.__dict__.keys()
+        assert S == R and hash(S) == hash(R) and repr(S) == repr(R)
+        assert (S.tails, S.heads) == (R.tails, R.heads) == (
+            L.tails + tuple(attach), L.heads + (L.site_count,) * len(attach))
+
+
+@pytest.mark.parametrize("bad, message", [(9, "attach site 9 out of range"),
+                                          (-1, "attach site -1 out of range"),
+                                          ("1", "attach site '1' is not an integer"),
+                                          (1.0, "attach site 1.0 is not an integer")])
+def test_bad_attach_site_is_named(bad, message, monkeypatch):
+    """Each attach site is checked on its own; the links copied from the
+    lattice, checked when it was built, are not checked again."""
+    G = cyclic_group(3)
+    checks = []
+    monkeypatch.setattr("gaugecount.lattice._check_links",
+                        lambda n, links: checks.append(len(list(links))))
+    for L in (lattice_hypercubic((3, 3)), LatticeGraph._from_ends(9, (0, 5), (4, 8))):
+        with pytest.raises(BadParams, match=f"^{re.escape(message)}$"):
+            dangling_boundary_extension(L, (0, bad), G)
+        L2, _ = dangling_boundary_extension(L, (0, 8), G)
+        assert L2.edge_count == L.edge_count + 2
+    assert checks == [2]  # the link pairs given to _from_ends, and no others
 
 
 @pytest.mark.parametrize("bad", ["1", 1.0])
