@@ -22,9 +22,14 @@ in, if any) is a component alone, the factor sum_C chi_x(C)|C|/|G|; twisted
 links between components become 0/1 factor tables, read off the class maps
 into a head and summed out by bucket elimination onto the component of the
 lowest-numbered constrained site, whose classes give the per-class breakdown.
-The cost follows distinct characters and nonzero entries, not sites or class
-tuples: sites with equal character values share one power, and elimination
-joins only the nonzero entries of the tables it sums out.  A count that
+The cost follows distinct characters, Galois orbits of classes and nonzero
+entries, not sites or class tuples: sites with equal character values share
+one power, and elimination joins only the nonzero entries of the tables it
+sums out.  A class C^j (j prime to the order of C's elements) takes sigma_j of
+C's potentials, as chi(g^j) = sigma_j(chi(g)) for characters, only when an exact
+check finds each distinct site character's value at C^j, ring order included, to
+be sigma_j of its value at C; sigma_j commutes with every step of a potential, so
+reports are bit for bit those of the direct path.  A count that
 removes no link (no non-constant map, no sink link) takes the lattice's cached
 components; one that removes or moves only wraparound and dangling links of a
 hypercubic lattice takes them from its shape (the open grid still joins every
@@ -45,7 +50,8 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import compress, repeat
-from operator import is_
+from math import gcd
+from operator import attrgetter, is_
 from typing import Optional, Sequence
 
 from ._values import frozen
@@ -99,6 +105,8 @@ class CountReport:
     witness: IntegralityWitness
     warnings: tuple[str, ...]
 
+
+_exact = attrgetter("order", "num", "den")  # a value's tuple, ring order included
 
 # distinct character objects a lone component counts by identity scans, one
 # pass over the sites each; past this many, one Counter pass over their ids
@@ -211,7 +219,7 @@ def count_general(G: FiniteGroup,
     for key, ch in first.items():
         if not same_group(ch.group, G):
             raise GroupMismatch("site character lives over a different group")
-        same[key] = by_value.setdefault(tuple((v.order, v.num, v.den) for v in ch.values), ch)
+        same[key] = by_value.setdefault(tuple(map(_exact, ch.values)), ch)
 
     multiplicity = [defaultdict(int) for _ in roots]  # id of first equal character -> sites
     for (k, key), m in tally.items():
@@ -248,14 +256,29 @@ def count_general(G: FiniteGroup,
             factors.append((scope, table))
 
     zero = Cyclotomic.zero()
+    # class d = C^j of an earlier class c: a potential at d is sigma_j of the one at c
+    # when every distinct character has at d exactly the tuple of sigma_j of its value
+    # at c, and the rational weights agree (|C^j| = |C|, and class maps commute with powers)
+    sigma_of = {d: (c, j) for d, (c, j) in classes._power_orbits.items()
+                if all(gcd(j, ch.values[c].order) == 1
+                       and _exact(ch.values[c].galois(j)) == exact[d]
+                       for exact, ch in by_value.items())}
 
-    def potential(k: int, c: int) -> Cyclotomic:
-        if weight[k][c] == 0:
-            return zero
-        term = Cyclotomic.rational(weight[k][c])
-        for i, m in multiplicity[k].items():
-            term = term * same[i].values[c] ** m
-        return term
+    def potentials(k: int) -> list[Cyclotomic]:
+        """Component k's potential at each class, in class order."""
+        out: list[Cyclotomic] = []
+        for c, w in enumerate(weight[k]):
+            src, j = sigma_of.get(c, (c, 1))
+            if w == 0:
+                out.append(zero)
+            elif src != c and weight[k][src] == w:
+                out.append(out[src].galois(j))
+            else:
+                term = Cyclotomic.rational(w)
+                for i, m in multiplicity[k].items():
+                    term = term * same[i].values[c] ** m
+                out.append(term)
+        return out
 
     # sum out every constrained component but the root, fewest neighbours first
     root = next((labels[x] for x in range(V) if x not in free_set), None)
@@ -273,7 +296,7 @@ def count_general(G: FiniteGroup,
         # join the nonzero table entries: one row per consistent assignment
         # of classes to the components bound so far (pos: component -> column)
         pos = {k: 0}
-        rows = [((c,), p) for c in range(n_cls) if not (p := potential(k, c)).is_zero()]
+        rows = [((c,), p) for c, p in enumerate(potentials(k)) if not p.is_zero()]
         for s, t in bucket:
             index: dict[tuple, list] = {}
             for key, val in t.items():
@@ -299,12 +322,11 @@ def count_general(G: FiniteGroup,
     for x in free:
         i = id(same[id(chars[x])])
         if i not in means:
-            means[i] = sum((potential(labels[x], c) for c in range(n_cls)), zero)
+            means[i] = sum(potentials(labels[x]), zero)
         free_factor = free_factor * means[i]
 
     per_class: list[Cyclotomic] = []
-    for c in range(n_cls):
-        term = potential(root, c) if root is not None else zero
+    for c, term in enumerate(potentials(root) if root is not None else [zero] * n_cls):
         for s, t in factors:
             term = term * t.get((c,) * len(s), 0)
         per_class.append(term)

@@ -17,7 +17,7 @@ deterministic.
 from __future__ import annotations
 
 import functools
-from math import lcm
+from math import gcd, lcm
 from operator import getitem, itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -488,6 +488,21 @@ class ConjugacyClassTable:
     @property
     def n_classes(self) -> int:
         return len(self.reps)
+
+    @functools.cached_property
+    def _power_orbits(self) -> dict[int, tuple[int, int]]:
+        """Class d -> (c, j) with d the class of r^j, j prime to the order of r, for r
+        the representative of c, the lowest-numbered class of d's orbit under C -> C^j;
+        each orbit's first class is left out, and its powers are walked once."""
+        orbits: dict[int, tuple[int, int]] = {}
+        for c, r in enumerate(self.reps):
+            powers = [r]  # r^1 .. r^order, unless c is in an earlier orbit
+            while c not in orbits and powers[-1] != self.group.identity:
+                powers.append(self.group.mul_table[powers[-1]][r])
+            for j in range(2, len(powers)):
+                if gcd(j, len(powers)) == 1 and self.class_of[powers[j - 1]] != c:
+                    orbits.setdefault(self.class_of[powers[j - 1]], (c, j))
+        return orbits
 
 
 def conjugacy_classes(G: FiniteGroup) -> ConjugacyClassTable:

@@ -195,9 +195,9 @@ def _hypercubic_wraps(dims: tuple[int, ...], periodic: tuple[bool, ...]) -> list
         # the sites below y on j's last layer, y counting x itself when j < k
         return x * d + k - sum(y // (s * n) * s + max(0, y % (s * n) - s * (n - 1))
                                for j, s, n in open_dims for y in (x + (j < k),))
-    return [{link_index(x, k): (x, x - s * (n - 1)) for b in range(s * (n - 1), volume, s * n)
-             for x in range(b, b + s)} if periodic[k] else {}
-            for k, (s, n) in enumerate(zip(strides, dims))]
+    return [{link_index(x, k) if open_dims else x * d + k: (x, x - s * (n - 1))
+             for b in range(s * (n - 1), volume, s * n) for x in range(b, b + s)}
+            if periodic[k] else {} for k, (s, n) in enumerate(zip(strides, dims))]
 
 
 def component_labels(site_count: int, edges: Iterable[Edge]) -> tuple[list[int], list[int]]:
@@ -284,8 +284,10 @@ def dangling_boundary_extension(L: LatticeGraph, attach_sites: Sequence[int],
     ext = dict(site_count=virtual + 1, edge_count=E + len(attach),
                name=(L.name + "_dangling") if L.name else "dangling")
     shape = L.__dict__.get("_shape")
-    if shape is not None and not shape[2]:  # its links and the sink row built on first read
-        L2 = _made(**ext, _shape=(*shape[:2], attach))
+    if shape is not None and not shape[2]:  # its links and the sink row built on first read,
+        # its wraparound tables L's, if L has them
+        L2 = _made(**ext, _shape=(*shape[:2], attach),
+                   **{k: L.__dict__[k] for k in ("wrap_edges", "_wrap_ends") if k in L.__dict__})
     else:  # L's links were checked when it was built, and each attach site above
         L2 = _made(**ext, tails=L.tails + attach, heads=L.heads + (virtual,) * len(attach),
                    wrap_edges=L.wrap_edges)

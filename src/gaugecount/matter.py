@@ -670,6 +670,31 @@ def spinor_components_for_dirac(d: int) -> int:
 # ---------------------------------------------------------------------------
 # per-site characters of each matter kind
 
+def _kept(matter: MatterSpec, classes: ConjugacyClassTable, sign: int, build):
+    """build(), once per (spec, class table object, sign): kept on the immutable spec, as
+    `GroupAction._violation` is, next to the table it holds, so its id stays its own."""
+    made = matter.__dict__.setdefault("_characters", {})
+    if (id(classes), sign) not in made:
+        made[id(classes), sign] = (classes, build())
+    return made[id(classes), sign][1]
+
+
+def _fermion_characters(matter: FermionMatter, classes: ConjugacyClassTable,
+                        sign: int) -> tuple[ClassFunction, Optional[ClassFunction]]:
+    """The plain Fock character and, for any vacuum but the trivial one, the dressed one."""
+    G, s = classes.group, matter.spinor_count
+    fock = [fermion_site_character(rep, classes, sign=sign).values for rep in matter.flavours]
+    plain = ClassFunction(G, tuple(_product(v ** s for v in vs) for vs in zip(*fock)))
+    if matter.vacuum == "trivial":
+        return plain, None
+    if matter.vacuum == "staggered":
+        dets = [det_character(rep, classes, inverse=True).values for rep in matter.flavours]
+        weight = tuple(_product(v ** s for v in vs) for vs in zip(*dets))
+    else:
+        weight = one_dim_class_values(matter.vacuum, classes).values
+    return plain, ClassFunction(G, tuple(map(operator.mul, plain.values, weight)))
+
+
 def fermion_site_characters(matter: FermionMatter, classes: ConjugacyClassTable,
                             n_sites: int, sign: int = 1) -> list[ClassFunction]:
     """Per-site Fock characters with the vacuum weight folded into each site.
@@ -681,43 +706,40 @@ def fermion_site_characters(matter: FermionMatter, classes: ConjugacyClassTable,
     weight per site (rather than as one global factor) keeps the count right
     even when some sites decouple from the class sum.
     """
-    G, s = classes.group, matter.spinor_count
-    fock = [fermion_site_character(rep, classes, sign=sign).values for rep in matter.flavours]
-    plain = ClassFunction(G, tuple(_product(v ** s for v in vs) for vs in zip(*fock)))
-    if matter.vacuum == "trivial":
-        return [plain] * n_sites
-    if matter.vacuum == "staggered":
-        if n_sites % 2 != 0:
-            raise OddSitesForStaggered(
-                f"staggered vacuum needs an even site count, got {n_sites}")
-        dets = [det_character(rep, classes, inverse=True).values for rep in matter.flavours]
-        weight = tuple(_product(v ** s for v in vs) for vs in zip(*dets))
-    else:
-        weight = one_dim_class_values(matter.vacuum, classes).values
-    dressed = ClassFunction(G, tuple(map(operator.mul, plain.values, weight)))
-    if matter.vacuum == "staggered":
-        return [plain, dressed] * (n_sites // 2)
-    return [dressed] * n_sites
+    plain, dressed = _kept(matter, classes, sign,
+                           lambda: _fermion_characters(matter, classes, sign))
+    if matter.vacuum != "staggered":
+        return [plain if dressed is None else dressed] * n_sites
+    if n_sites % 2 != 0:
+        raise OddSitesForStaggered(f"staggered vacuum needs an even site count, got {n_sites}")
+    return [plain, dressed] * (n_sites // 2)
 
 
 def site_characters(matter: MatterSpec, classes: ConjugacyClassTable,
                     n_sites: int, sign: int = 1) -> list[ClassFunction]:
     """The class function of each site's matter space; sign=-1 weights
-    fermion modes by parity."""
+    fermion modes by parity.
+
+    A spec's distinct characters (its Fock and dressed characters, or one
+    fixed-point character per action object) are built on its first call with
+    a class table object and sign, and kept on the spec: counting one spec with
+    one class table over a family of lattices pays for them once.
+    """
     if isinstance(matter, PureGauge):
         return [constant_class_function(classes, 1)] * n_sites
-    if isinstance(matter, (ScalarMatter, ScalarMatterPerSite)):
-        actions = (matter.actions if isinstance(matter, ScalarMatterPerSite)
-                   else (matter.action,) * n_sites)
+    if isinstance(matter, ScalarMatter):
+        return [_kept(matter, classes, sign,
+                      lambda: fixed_point_character(matter.action, classes))] * n_sites
+    if isinstance(matter, ScalarMatterPerSite):
+        actions = matter.actions
         if len(actions) != n_sites:
             raise BadParams(f"{len(actions)} actions for {n_sites} physical sites")
-        # one character per distinct action object, one list repetition per run of it
-        made: dict[int, ClassFunction] = {}
-        chars = []
-        for key, run in itertools.groupby(actions, id):
-            run = list(run)
-            ch = made[key] = made.get(key) or fixed_point_character(run[0], classes)
-            chars += [ch] * len(run)
+        made = _kept(matter, classes, sign, lambda: {
+            key: fixed_point_character(A, classes)
+            for key, A in dict(zip(map(id, actions), actions)).items()})
+        chars = []  # one list repetition per run of an action object
+        for key, run in itertools.groupby(map(id, actions)):
+            chars += [made[key]] * len(list(run))
         return chars
     if isinstance(matter, FermionMatter):
         return fermion_site_characters(matter, classes, n_sites, sign=sign)

@@ -1,7 +1,8 @@
 """Reference implementation for tests: the cyclotomic arithmetic that kept a
 tuple of `Fraction` coefficients per value, kept verbatim (below this
 docstring) so that `test_cyclo_reference.py` can check the integer-numerator
-`gaugecount.cyclo` against it, operation by operation.
+`gaugecount.cyclo` against it, operation by operation.  `galois`, added
+later, makes sigma_j from this module's own products and sums.
 
 Values are coefficient vectors over the power basis 1, x, ..., x^(phi(n)-1)
 of Q[x]/Phi_n(x), with x standing for the primitive n-th root of unity
@@ -236,6 +237,18 @@ class Cyclotomic:
         if not norm.is_rational():
             raise ValueError("inverse only supported when z * conj(z) is rational")
         return conj * (Fraction(1) / norm.coeffs[0])
+
+    def galois(self, j: int) -> "Cyclotomic":
+        """sigma_j, zeta_n -> zeta_n^j for j prime to the order n: the sum of
+        c_i * (zeta_n^j)^i, made one power at a time and lifted back to order n unless it is rational."""
+        n = self.order
+        if gcd(j, n) != 1:
+            raise ValueError(f"sigma_{j} is not an automorphism of Q(zeta_{n})")
+        z, zi = Cyclotomic.root_of_unity(n, j), Cyclotomic.rational(1)
+        total = Cyclotomic.rational(0)
+        for c in self.coeffs:
+            total, zi = total + c * zi, zi * z
+        return total if total.is_rational() else Cyclotomic(n, total._to_order(n))
 
     def conjugate(self) -> "Cyclotomic":
         n = self.order

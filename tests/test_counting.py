@@ -10,6 +10,7 @@ import pytest
 from gaugecount import (
     BadParams,
     ClassFunction,
+    CountReport,
     Cyclotomic,
     FermionMatter,
     GroupMismatch,
@@ -662,6 +663,165 @@ def test_site_tally_by_identity_matches_a_counter(monkeypatch):
             by_scans = count_general(G, cls, L, chars, require_nonnegative=False)
         _assert_same_report(plain, by_counter)
         _assert_same_report(plain, by_scans)
+
+
+# ---------------------------------------------------------------------------
+# one potential per Galois orbit of classes, and characters kept on the spec
+
+def _outcome(thunk):
+    """A report, or the type and message of the integrality error raised."""
+    try:
+        return thunk()
+    except NonIntegralResult as exc:
+        return type(exc), str(exc)
+
+
+def _direct(monkeypatch, cls):
+    """cls with its orbit table emptied: every class potential made directly."""
+    monkeypatch.setitem(cls.__dict__, "_power_orbits", {})
+    return cls
+
+
+def test_galois_shortcut_matches_the_direct_path(monkeypatch):
+    """Seeded: every report, ring labels included, is the one made with no class
+    potential taken from another by sigma_j, on untwisted, wrap-twisted,
+    every-link-inner, kernel-map and dangling counts, parity-weighted traces and
+    random class functions, which mostly take the direct path."""
+    rng = random.Random(29)
+    Z8, D5, T = cyclic_group(8), dihedral_group(5), binary_tetrahedral_group()
+    setups = []
+    for G, reps in ((Z8, [one_dim_to_rep(zn_charge_rep(Z8, q)) for q in (1, 3)]),
+                    (D5, [dihedral_rotation_rep(D5, 5)]), (T, [su2_fundamental_rep(T)])):
+        matters = [PureGauge(), ScalarMatter(action_coset(G, first_proper_subgroup(G)))]
+        matters += [FermionMatter(tuple(reps[:n]), s, vac) for n in range(1, len(reps) + 1)
+                    for s in (1, 2) for vac in ("trivial", "staggered")]
+        inner = [inner_automorphism(G, h) for h in range(G.order)]
+        maps = inner + ([inversion_endo(G)] if G.is_abelian() else []) + _kernel_maps(G)
+        setups.append((G, conjugacy_classes(G), _direct(monkeypatch, conjugacy_classes(G)),
+                       matters, inner, maps))
+    assert [len(cls._power_orbits) for _, cls, *_ in setups] == [4, 1, 2]
+    kinds, shortcut = Counter(), Counter()  # cases, and those that raised fewer powers
+    for _ in range(240):
+        G, cls, direct, matters, inner, maps = rng.choice(setups)
+        dims = tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 2)))
+        periodic = tuple(rng.random() < 0.7 for _ in dims)
+        L = lattice_hypercubic(dims, periodic)
+        kind = rng.choice(("none", "wrap", "inner_all", "kernel", "dangling", "random"))
+        twist = attach = None
+        if kind == "wrap" and any(periodic):
+            k = rng.choice([k for k, p in enumerate(periodic) if p])
+            twist = twist_on_wrap_edges(L, rng.choice(maps), k)
+        elif kind == "inner_all":
+            twist = make_twist(L, rng.choice(inner), range(L.edge_count))
+        elif kind == "kernel":
+            twist = _per_link_twist(rng, maps, L.edge_count)
+        if kind == "dangling" or rng.random() < 0.2:
+            attach = rng.sample(range(L.site_count), rng.randint(1, L.site_count))
+        matter = rng.choice([m for m in matters if not (
+            isinstance(m, FermionMatter) and m.vacuum == "staggered" and L.site_count % 2)])
+        sign = rng.choice((1, -1)) if isinstance(matter, FermionMatter) else 1
+        if kind == "random":  # a few class functions of random cyclotomic values
+            pool = [ClassFunction(G, tuple(
+                Cyclotomic.rational(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+                + rng.randint(-2, 2) * Cyclotomic.root_of_unity(rng.choice((1, 2, 4, 5, 8)),
+                                                                 rng.randrange(8))
+                for _ in range(cls.n_classes))) for _ in range(rng.randint(1, 2))]
+            chars = [rng.choice(pool) for _ in range(L.site_count)]
+            runs = [lambda c=c: count_general(G, c, L, chars, twist=twist,
+                                              require_nonnegative=False)
+                    for c in (cls, direct)]
+        else:
+            runs = [lambda c=c: count(G, L, matter, twist=twist, dangling_attach=attach,
+                                      classes=c, parity_sign=sign) for c in (cls, direct)]
+        pows, galois = [], []
+        with monkeypatch.context() as m:  # the powers raised and the sigma_j taken by each
+            m.setattr(Cyclotomic, "__pow__", lambda v, k, _p=Cyclotomic.__pow__: (
+                pows.append(k), _p(v, k))[1])
+            m.setattr(Cyclotomic, "galois", lambda v, j, _g=Cyclotomic.galois: (
+                galois.append(j), _g(v, j))[1])
+            fast = _outcome(runs[0])
+            work = len(pows), len(galois)
+            slow = _outcome(runs[1])
+        assert len(galois) == work[1]  # the direct path checks nothing and takes no sigma_j
+        assert work[0] <= len(pows) - work[0]
+        if isinstance(fast, CountReport):
+            _assert_same_report(fast, slow)
+            assert [v.num for v in fast.per_class] == [v.num for v in slow.per_class]
+        else:
+            assert fast == slow
+        kinds[kind] += 1
+        shortcut[kind] += work[0] < len(pows) - work[0]
+    assert min(kinds.values()) >= 30
+    assert min(shortcut[k] for k in kinds if k != "random") >= 15 and shortcut["random"] <= 5
+
+
+@pytest.fixture
+def count_pows(monkeypatch):
+    """The values raised to a power, in order."""
+    raised = []
+    plain = Cyclotomic.__pow__
+
+    def counted(self, k):
+        raised.append(self)
+        return plain(self, k)
+    monkeypatch.setattr(Cyclotomic, "__pow__", counted)
+    return raised
+
+
+def test_one_power_per_orbit_of_classes_unless_a_class_function_fails(count_pows):
+    """Untwisted 2I staggered fermions: 9 classes in 7 Galois orbits, so the one
+    distinct site character (det rho = 1 leaves the filled sites' equal) is raised at
+    7 classes; a class function that is not a character is raised at all 9."""
+    G = binary_icosahedral_group()
+    cls = conjugacy_classes(G)
+    L = lattice_hypercubic((4, 4))
+    chars = site_characters(FermionMatter((su2_fundamental_rep(G),), 2, "staggered"), cls,
+                            L.site_count)
+    count_pows.clear()
+    count_general(G, cls, L, chars)
+    assert len(count_pows) == 7 == cls.n_classes - len(cls._power_orbits)
+    rng = random.Random(9)
+    noise = ClassFunction(G, tuple(map(Cyclotomic.rational, rng.sample(range(1, 100), 9))))
+    count_pows.clear()
+    _outcome(lambda: count_general(G, cls, L, [noise] * L.site_count))
+    assert len(count_pows) == 9
+
+
+def test_site_characters_are_built_once_per_spec_table_and_sign(monkeypatch):
+    from gaugecount import matter as matter_mod
+
+    built = Counter()
+    for name in ("fermion_site_character", "fixed_point_character"):
+        def counted(*args, _plain=getattr(matter_mod, name), _name=name, **kwargs):
+            built[_name] += 1
+            return _plain(*args, **kwargs)
+        monkeypatch.setattr(matter_mod, name, counted)
+    T = binary_tetrahedral_group()
+    cls = conjugacy_classes(T)
+    rep, left = su2_fundamental_rep(T), action_left_mult(T)
+    coset = action_coset(T, first_proper_subgroup(T))
+
+    def specs():
+        return (FermionMatter((rep, rep), 2, "staggered"), ScalarMatter(coset),
+                ScalarMatterPerSite((coset, left) * 8))
+    kept = specs()
+    small, large = lattice_hypercubic((4, 4)), lattice_hypercubic((2, 8))
+    first = [count(T, small, m, classes=cls) for m in kept]
+    assert built == {"fermion_site_character": 2, "fixed_point_character": 3}
+    built.clear()
+    again = [count(T, large, m, classes=cls) for m in kept]
+    assert not built
+    # another table of the same group, and the parity-weighted trace, build their own
+    other = conjugacy_classes(T)
+    count(T, small, kept[0], classes=other)
+    count(T, small, kept[0], classes=cls, parity_sign=-1)
+    assert built == {"fermion_site_character": 4}
+    count(T, small, kept[0], classes=cls, parity_sign=-1)
+    assert built == {"fermion_site_character": 4}
+    # the reports are those of freshly built specs
+    for a, b, f, g in zip(first, again, specs(), specs()):
+        _assert_same_report(a, count(T, small, f, classes=cls))
+        _assert_same_report(b, count(T, large, g, classes=cls))
 
 
 def test_zn_closed_forms_match_engine():

@@ -1,9 +1,11 @@
 """Seeded property test: the integer-numerator `Cyclotomic` gives the same
 order, coefficients, repr, rational value and complex value as the
 `Fraction`-coefficient reference in `cyclo_reference.py`, for every
-operation, on values of mixed orders up to 60."""
+operation, on values of mixed orders up to 60; sigma_j and squaring keep
+every tuple the counting engine relies on."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -111,6 +113,42 @@ def test_matches_fraction_reference(case):
             assert_same(*(outcome(op, *a) for a in args))
         except AssertionError as exc:
             raise AssertionError(f"{name}: {exc}") from exc
+
+
+@st.composite
+def galois_cases(draw):
+    """Two values whose orders divide one n <= 60, and two exponents prime to n."""
+    n = draw(st.integers(1, 60))
+    unit = st.integers(-2 * n, 2 * n).filter(lambda j: gcd(j, n) == 1)
+    kind = st.one_of(value_specs(n), root_specs(n))
+    return draw(kind), draw(kind), draw(unit), draw(unit)
+
+
+def exact(v):
+    return v.order, v.num, v.den
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(galois_cases())
+def test_galois_and_squares_keep_every_tuple(case):
+    a_spec, b_spec, j, k = case
+    a, b, ref_a = build(Cyclotomic, a_spec), build(Cyclotomic, b_spec), build(ref.Cyclotomic, a_spec)
+    assert_same(a.galois(j), ref_a.galois(j))
+    assert a.galois(j).order == a.order
+    # tuple for tuple, ring orders included: multiplicative, additive, and
+    # sigma_j after sigma_k is sigma_jk
+    assert exact((a * b).galois(j)) == exact(a.galois(j) * b.galois(j))
+    assert exact((a + b).galois(j)) == exact(a.galois(j) + b.galois(j))
+    assert exact(a.galois(k).galois(j)) == exact(a.galois(j * k))
+    assert exact(a.conjugate()) == exact(a.galois(-1))
+    if a.order > 1:  # an exponent sharing a prime with the order is refused by both
+        p = next(p for p in range(2, a.order + 1) if a.order % p == 0)
+        assert outcome(a.galois, p * j) is outcome(ref_a.galois, p * j) is ValueError
+    # a square takes its own branch: the tuple of a product of two equal copies
+    copy = Cyclotomic(a.order, [Fraction(n, d) for n, d in a.coeff_pairs()])
+    assert copy is not a and exact(copy) == exact(a)
+    assert exact(a * a) == exact(a * copy) == exact(copy * a)
+    assert_same(a * a, ref_a * build(ref.Cyclotomic, a_spec))
 
 
 def test_divisors_in_ascending_order():

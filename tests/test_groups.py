@@ -322,6 +322,30 @@ def test_class_ordering_contract():
             assert min(scan) == cls.reps[c]
 
 
+def test_power_orbits_match_all_powers_coprime_to_the_exponent():
+    """Each class C^j (j prime to the order of C's elements) points at its orbit's
+    lowest-numbered class c and an exponent taking c's representative into it."""
+    from math import gcd
+
+    for G in (cyclic_group(12), dihedral_group(8), symmetric_group(5), quaternion_group(),
+              binary_icosahedral_group(), direct_product(cyclic_group(5), cyclic_group(3))):
+        cls = conjugacy_classes(G)
+        n = G.exponent()
+
+        def power(g, j):
+            x = G.identity
+            for _ in range(j):
+                x = G.mul(x, g)
+            return x
+        orbit = [{cls.class_of[power(r, j)] for j in range(1, n) if gcd(j, n) == 1}
+                 for r in cls.reps]
+        for d in range(cls.n_classes):
+            c, j = cls._power_orbits.get(d, (d, 1))
+            assert c == min(orbit[d]) and cls.class_of[power(cls.reps[c], j)] == d
+            assert gcd(j, G.element_order(cls.reps[c])) == 1
+        assert len(cls._power_orbits) == cls.n_classes - len({min(o) for o in orbit})
+
+
 def test_centralizer_product_law():
     for G in (symmetric_group(4), dihedral_group(5), binary_tetrahedral_group()):
         cls = conjugacy_classes(G)

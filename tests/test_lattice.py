@@ -304,6 +304,33 @@ def test_shape_kept_extension_equals_the_one_from_ends():
             L.tails + tuple(attach), L.heads + (L.site_count,) * len(attach))
 
 
+def test_shape_kept_extension_reuses_the_wraparound_tables(monkeypatch):
+    """An extension of a lattice that has read its wraparound tables holds the same
+    tables and works none out again; one whose lattice has not works them out itself."""
+    from gaugecount import lattice
+
+    calls = []
+    plain = lattice._hypercubic_wraps
+
+    def spy(dims, periodic):
+        calls.append(dims)
+        return plain(dims, periodic)
+    monkeypatch.setattr(lattice, "_hypercubic_wraps", spy)
+    G = cyclic_group(2)
+    for dims, periodic in (((4, 4), True), ((3, 5), (False, True)), ((2, 3, 4), True)):
+        L = lattice_hypercubic(dims, periodic)
+        tw = twist_on_wrap_edges(L, inversion_endo(G), len(dims) - 1)  # reads them
+        assert calls == [dims]
+        S, _ = dangling_boundary_extension(L, (0, 1, 1), G, tw)
+        assert S.wrap_edges is L.wrap_edges and S._wrap_ends is L._wrap_ends
+        # a count with a wrap twist and a dangling row pays for them once
+        count(G, L, PureGauge(), twist=tw, dangling_attach=(0, 1, 1))
+        assert calls == [dims] and not {"tails", "heads"} & S.__dict__.keys()
+        fresh, _ = dangling_boundary_extension(lattice_hypercubic(dims, periodic), (0,), G)
+        assert fresh.wrap_edges == L.wrap_edges and calls == [dims, dims]
+        calls.clear()
+
+
 @pytest.mark.parametrize("bad, message", [(9, "attach site 9 out of range"),
                                           (-1, "attach site -1 out of range"),
                                           ("1", "attach site '1' is not an integer"),
