@@ -34,10 +34,10 @@ removes no link (no non-constant map, no sink link) takes the lattice's cached
 components; one that removes or moves only wraparound and dangling links of a
 hypercubic lattice takes them from its shape (the open grid still joins every
 physical site, the virtual site alone once all its links are gone), so neither
-reads a link tuple; any other twist takes one union-find step per link.  Per
-site a count takes one identity scan per distinct character object, or one
-Counter pass past a few of them; only two or more components from union-find
-add a label per site and a tally of links out.
+reads a link tuple; any other twist takes one union-find step per link.  A
+lone component reads the sites' tally (`matter.SiteCharacters`), not the
+sites; only two or more components from union-find add a label per site and
+a tally of links out.
 
 The result must come out a nonnegative integer; anything else raises
 NonIntegralResult with the failed witness attached.  The site characters
@@ -49,9 +49,9 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import compress
 from math import gcd
-from operator import attrgetter, is_
+from operator import attrgetter
 from typing import Optional, Sequence
 
 from ._values import frozen
@@ -64,6 +64,7 @@ from .matter import (
     ClassFunction,
     FermionMatter,
     MatterSpec,
+    SiteCharacters,
     constant_class_function,
     one_dim_class_values,
     site_characters,
@@ -108,28 +109,6 @@ class CountReport:
 
 _exact = attrgetter("order", "num", "den")  # a value's tuple, ring order included
 
-# distinct character objects a lone component counts by identity scans, one
-# pass over the sites each; past this many, one Counter pass over their ids
-_SCANNED_CHARACTERS = 4
-
-
-def _identity_tally(chars: Sequence[ClassFunction]) -> Optional[dict[int, int]]:
-    """Sites per character object, keyed by id in first-seen order, or None
-    past _SCANNED_CHARACTERS distinct objects.  Each object is found in doubling
-    slices, as `count_general` finds them, and counted by one scan."""
-    counts: dict[int, int] = {}
-    left, lo, step = len(chars), 0, 8
-    while left:
-        part = chars[lo:lo + step]
-        for key, ch in dict(zip(map(id, part), part)).items():
-            if key not in counts:
-                if len(counts) == _SCANNED_CHARACTERS:
-                    return None
-                counts[key] = m = sum(map(is_, chars, repeat(ch)))
-                left -= m
-        lo, step = lo + step, 2 * step
-    return counts
-
 
 def count_general(G: FiniteGroup,
                   classes: ConjugacyClassTable,
@@ -172,7 +151,7 @@ def count_general(G: FiniteGroup,
         warnings.append("identity twist normalized to untwisted links")
 
     n_cls, sizes = classes.n_classes, classes.sizes
-    chars = site_chars
+    chars = SiteCharacters.of(site_chars)
     if len(chars) != V:
         raise BadParams(f"{len(chars)} site characters for {V} sites")
     lone = None  # the virtual site of a lattice kept as its shape, if left no link
@@ -180,8 +159,8 @@ def count_general(G: FiniteGroup,
         removed = sorted(sink | map_of.keys())
         shaped = L._shape_ends(removed)
         if sink:  # the sink site V: its regular character on a copy
-            chars = [*chars, ClassFunction(G, (Cyclotomic.rational(G.order),)
-                                           + (Cyclotomic.zero(),) * (n_cls - 1))]
+            chars = chars.extended(ClassFunction(G, (Cyclotomic.rational(G.order),)
+                                                 + (Cyclotomic.zero(),) * (n_cls - 1)))
         if shaped is None:  # V as every sink head, and union-find over the links kept
             tails, heads = L.tails, L.heads
             ends = {i: (tails[i], heads[i]) for i in removed}
@@ -197,7 +176,7 @@ def count_general(G: FiniteGroup,
     # sites per (component, character object) in first-seen order; a lone
     # component holds every site, and every link leads out of it
     if len(roots) == 1:
-        counts = _identity_tally(chars) or Counter(map(id, chars))
+        counts = {id(ch): m for ch, m in chars.tally}
         tally, out_links = {}, [E]
         if lone is not None:  # but the virtual site alone: component 1, with no link out
             counts[id(chars[lone])] -= 1
@@ -207,19 +186,14 @@ def count_general(G: FiniteGroup,
     else:
         tally = Counter(zip(labels, map(id, chars)))
         out_links = Counter(map(labels.__getitem__, L.tails))
-    # each distinct object in first-seen order, read off doubling slices until all are
-    # seen; same maps its id to the first equal character, so each value is raised once
-    first: dict[int, ClassFunction] = {}
-    n_distinct, lo, step = len({key for _, key in tally}), 0, 8
-    while len(first) < n_distinct:
-        first.update(zip(map(id, chars[lo:lo + step]), chars[lo:lo + step]))
-        lo, step = lo + step, 2 * step
+    # same maps the id of each distinct object, in first-seen order, to the
+    # first equal character, so each value is raised once
     by_value: dict[tuple, ClassFunction] = {}
     same: dict[int, ClassFunction] = {}
-    for key, ch in first.items():
+    for ch, _ in chars.tally:
         if not same_group(ch.group, G):
             raise GroupMismatch("site character lives over a different group")
-        same[key] = by_value.setdefault(tuple(map(_exact, ch.values)), ch)
+        same[id(ch)] = by_value.setdefault(tuple(map(_exact, ch.values)), ch)
 
     multiplicity = [defaultdict(int) for _ in roots]  # id of first equal character -> sites
     for (k, key), m in tally.items():
@@ -235,9 +209,12 @@ def count_general(G: FiniteGroup,
     # rational weight per component and class: (|G|/|C|)^(links out - sites),
     # times every factor that involves this component alone.  Components with
     # one exponent share one row, so no row is changed in place: the fold
-    # below gives a component a fresh row
+    # below gives a component a fresh row.  A row holds one integer power per
+    # distinct class size, a Fraction only for a negative exponent
     exponents = [out_links[k] - sum(mult.values()) for k, mult in enumerate(multiplicity)]
-    row_of = {e: [Fraction(G.order, size) ** e for size in sizes] for e in set(exponents)}
+    power = {(s, e): (G.order // s) ** abs(e) for s in set(sizes) for e in set(exponents)}
+    row_of = {e: [power[s, e] if e >= 0 else Fraction(1, power[s, e]) for s in sizes]
+              for e in set(exponents)}
     weight = [row_of[e] for e in exponents]
     # one 0/1 factor per twisted head, over its component and its tails'
     # components: head class C admits exactly the tail class cmaps[m][C] under
@@ -418,10 +395,12 @@ def count(G: FiniteGroup, L: LatticeGraph, matter: MatterSpec,
     n_phys = L.site_count
     if dangling_attach is not None:
         L, twist = dangling_boundary_extension(L, tuple(dangling_attach), G, twist)
-    chars = (site_characters(matter, cls, n_phys, sign=parity_sign)
-             if site_chars is None else site_chars)
-    if L.site_count > n_phys:  # the virtual site's trivial character, on a new list
-        chars = [*chars, constant_class_function(cls, 1)]
+    chars = SiteCharacters.of(site_characters(matter, cls, n_phys, sign=parity_sign)
+                              if site_chars is None else site_chars)
+    if len(chars) != n_phys:
+        raise BadParams(f"{len(chars)} site characters for {n_phys} sites")
+    if L.site_count > n_phys:  # the virtual site's trivial character, on a copy
+        chars = chars.extended(constant_class_function(cls, 1))
     return count_general(G, cls, L, chars, twist=twist,
                          require_nonnegative=(parity_sign == 1))
 

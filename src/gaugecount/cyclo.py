@@ -117,6 +117,10 @@ def _reduced(order: int, num: tuple[int, ...], den: int) -> "Cyclotomic":
         if g != 1:
             num = tuple(c // g for c in num)
             den //= g
+    return _value(order, num, den)
+
+
+def _value(order: int, num: tuple[int, ...], den: int) -> "Cyclotomic":  # reduced already
     v = object.__new__(Cyclotomic)
     _set(v, "order", order)
     _set(v, "num", num)
@@ -259,8 +263,9 @@ class Cyclotomic:
         if not isinstance(k, int):
             return NotImplemented
         if k < 0:
-            inv = self.inverse()
-            return inv ** (-k)
+            return self.inverse() ** -k
+        if self.order == 1:  # p/q in lowest terms: p^k and q^k are coprime too
+            return _value(1, (self.num[0] ** k,), self.den ** k)
         result, base = None, self
         while k:
             if k & 1:

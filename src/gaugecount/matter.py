@@ -23,7 +23,6 @@ from __future__ import annotations
 import cmath
 import collections
 import functools
-import itertools
 import math
 import operator
 from fractions import Fraction
@@ -79,6 +78,34 @@ class ClassFunction:
 
 def constant_class_function(classes: ConjugacyClassTable, value=1) -> ClassFunction:
     return ClassFunction(classes.group, (_as_cyclo(value),) * classes.n_classes)
+
+
+class SiteCharacters(tuple):
+    """Each site's class function, and `tally`: each distinct character object
+    with the number of sites it covers, in first-seen order.  `pattern` laid out
+    `times` times is tallied by one pass over the pattern alone."""
+
+    def __new__(cls, pattern: Iterable[ClassFunction] = (), times: int = 1):
+        pattern = tuple(pattern)  # read once, so an iterator is tallied as it is laid out
+        self = super().__new__(cls, pattern * times)
+        first = dict(zip(map(id, pattern), pattern))
+        self.tally = tuple((first[key], m * times)
+                           for key, m in collections.Counter(map(id, pattern)).items() if times)
+        return self
+
+    @staticmethod
+    def of(chars: Sequence[ClassFunction]) -> SiteCharacters:
+        """chars itself when tallied already, else one tallied copy of it."""
+        return chars if isinstance(chars, SiteCharacters) else SiteCharacters(chars)
+
+    def extended(self, *chars: ClassFunction) -> SiteCharacters:
+        """A copy with `chars` as sites after these, tallied by them alone."""
+        counts = {id(ch): [ch, m] for ch, m in self.tally}
+        for ch in chars:
+            counts.setdefault(id(ch), [ch, 0])[1] += 1
+        out = tuple.__new__(SiteCharacters, self + chars)
+        out.tally = tuple(map(tuple, counts.values()))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +723,7 @@ def _fermion_characters(matter: FermionMatter, classes: ConjugacyClassTable,
 
 
 def fermion_site_characters(matter: FermionMatter, classes: ConjugacyClassTable,
-                            n_sites: int, sign: int = 1) -> list[ClassFunction]:
+                            n_sites: int, sign: int = 1) -> SiteCharacters:
     """Per-site Fock characters with the vacuum weight folded into each site.
 
     Each site carries prod_f det(1 + sign * rho_f)^spinor_count.  A
@@ -709,27 +736,29 @@ def fermion_site_characters(matter: FermionMatter, classes: ConjugacyClassTable,
     plain, dressed = _kept(matter, classes, sign,
                            lambda: _fermion_characters(matter, classes, sign))
     if matter.vacuum != "staggered":
-        return [plain if dressed is None else dressed] * n_sites
+        return SiteCharacters((plain if dressed is None else dressed,), n_sites)
     if n_sites % 2 != 0:
         raise OddSitesForStaggered(f"staggered vacuum needs an even site count, got {n_sites}")
-    return [plain, dressed] * (n_sites // 2)
+    return SiteCharacters((plain, dressed), n_sites // 2)
 
 
 def site_characters(matter: MatterSpec, classes: ConjugacyClassTable,
-                    n_sites: int, sign: int = 1) -> list[ClassFunction]:
+                    n_sites: int, sign: int = 1) -> SiteCharacters:
     """The class function of each site's matter space; sign=-1 weights
     fermion modes by parity.
 
-    A spec's distinct characters (its Fock and dressed characters, or one
-    fixed-point character per action object) are built on its first call with
-    a class table object and sign, and kept on the spec: counting one spec with
-    one class table over a family of lattices pays for them once.
+    The tally comes from the pattern laid out: one character, the staggered
+    pair, or a per-site spec's characters.  A spec's distinct characters (its
+    Fock and dressed characters, or one fixed-point character per action
+    object) are built on its first call with a class table object and sign, and
+    kept on the spec: counting one spec with one class table over a family of
+    lattices pays for them once.
     """
     if isinstance(matter, PureGauge):
-        return [constant_class_function(classes, 1)] * n_sites
+        return SiteCharacters((constant_class_function(classes, 1),), n_sites)
     if isinstance(matter, ScalarMatter):
-        return [_kept(matter, classes, sign,
-                      lambda: fixed_point_character(matter.action, classes))] * n_sites
+        ch = _kept(matter, classes, sign, lambda: fixed_point_character(matter.action, classes))
+        return SiteCharacters((ch,), n_sites)
     if isinstance(matter, ScalarMatterPerSite):
         actions = matter.actions
         if len(actions) != n_sites:
@@ -737,10 +766,7 @@ def site_characters(matter: MatterSpec, classes: ConjugacyClassTable,
         made = _kept(matter, classes, sign, lambda: {
             key: fixed_point_character(A, classes)
             for key, A in dict(zip(map(id, actions), actions)).items()})
-        chars = []  # one list repetition per run of an action object
-        for key, run in itertools.groupby(map(id, actions)):
-            chars += [made[key]] * len(list(run))
-        return chars
+        return SiteCharacters(tuple(map(made.__getitem__, map(id, actions))))
     if isinstance(matter, FermionMatter):
         return fermion_site_characters(matter, classes, n_sites, sign=sign)
     raise BadParams(f"unknown matter specification {matter!r}")
@@ -755,12 +781,13 @@ def total_hilbert_dim(G: FiniteGroup, L: LatticeGraph, matter: MatterSpec,
     classes = classes or conjugacy_classes(G)
     if not same_group(G, classes.group):
         raise GroupMismatch("group and class table disagree")
-    chars = site_characters(matter, classes, L.site_count) if site_chars is None else site_chars
-    # each distinct character object is read once; ClassFunction is unhashable
-    first = dict(zip(map(id, chars), chars))
+    chars = SiteCharacters.of(site_characters(matter, classes, L.site_count)
+                              if site_chars is None else site_chars)
+    if len(chars) != L.site_count:
+        raise BadParams(f"{len(chars)} site characters for {L.site_count} sites")
     dim = G.order ** L.edge_count
-    for key, m in collections.Counter(map(id, chars)).items():
-        dim *= first[key].values[0].integer_value() ** m
+    for ch, m in chars.tally:  # each distinct character object is read once
+        dim *= ch.values[0].integer_value() ** m
     return dim
 
 

@@ -21,6 +21,7 @@ from gaugecount import (
     PureGauge,
     ScalarMatter,
     ScalarMatterPerSite,
+    SiteCharacters,
     TwistSpec,
     action_coset,
     action_left_mult,
@@ -552,7 +553,7 @@ def test_shape_kept_boundaries_count_as_their_explicit_copies(union_find_calls):
                 reports.append(count(G, L, matter, twist=TwistSpec(tw), dangling_attach=attach))
             else:
                 L2, sinks = dangling_boundary_extension(L, attach, G, TwistSpec(tw))
-                chars = site_characters(matter, cls, V) + [constant_class_function(cls, 1)]
+                chars = [*site_characters(matter, cls, V), constant_class_function(cls, 1)]
                 reports.append(count_general(G, cls, L2, chars, TwistSpec({**sinks.maps, **redo})))
             calls.append(len(union_find_calls) - before)
         _assert_same_report(*reports)
@@ -609,7 +610,7 @@ def test_untwisted_hypercubic_count_reads_no_link(union_find_calls):
         count(G, L, matter, twist=tw, dangling_attach=attach)
         # the extension that count builds, counted as count counts it
         L2, sinks = dangling_boundary_extension(L, attach or (), G, tw)
-        count_general(G, cls, L2, site_characters(matter, cls, L.site_count)
+        count_general(G, cls, L2, [*site_characters(matter, cls, L.site_count)]
                       + [constant_class_function(cls, 1)] * (L2.site_count - L.site_count), sinks)
         assert not {"tails", "heads", "edges"} & (L.__dict__.keys() | L2.__dict__.keys())
     assert union_find_calls == []
@@ -628,41 +629,97 @@ def test_untwisted_hypercubic_count_reads_no_link(union_find_calls):
     assert union_find_calls == [64, 66, 64]
 
 
-def test_site_tally_by_identity_matches_a_counter(monkeypatch):
-    """The identity scans and the Counter they fall back to find the same
-    objects in the same first-seen order, so every report is the same."""
-    from gaugecount import counting
+class _ReadPerSite(SiteCharacters):
+    """Site characters that refuse to be read site by site: only the tally."""
 
-    S3, Z6 = symmetric_group(3), cyclic_group(6)
+    def __iter__(self):
+        raise AssertionError("site characters read per site")
+
+    def __getitem__(self, x):
+        raise AssertionError("site characters read per site")
+
+
+def test_site_tally_matches_a_counter():
+    """Every matter kind's tally, and the tails a dangling count adds, are a
+    Counter of site character ids, in first-seen order; counts from the tally
+    are those from a plain list of the same objects, and a connected count
+    reads no site at all."""
+    S3, Z4, T = symmetric_group(3), cyclic_group(4), binary_tetrahedral_group()
     L = lattice_hypercubic((4, 6))
-    cls = conjugacy_classes(S3)
-    coset = [action_coset(S3, first_proper_subgroup(S3)) for _ in range(3)]
-    regular = [action_left_mult(S3) for _ in range(3)]
-    # six distinct action objects, two distinct values, more than the scans take
-    actions = [(coset + regular)[x * 5 % 6] for x in range(L.site_count)]
-    per_site = site_characters(ScalarMatterPerSite(tuple(actions)), cls, L.site_count)
-    # equal but distinct characters of three ring orders: four objects, and one per site
-    charges = [x * x % 6 for x in range(L.site_count)]
-    one_each = zn_site_characters(6, charges, conjugacy_classes(Z6))
-    four = [one_each[0], one_each[1], zn_site_characters(6, [1], conjugacy_classes(Z6))[0],
-            one_each[2]]
-    mixed = [four[x * 7 % 4] for x in range(L.site_count)]
-    for G, chars in ((S3, per_site), (Z6, one_each), (Z6, mixed)):
-        ids = list(Counter(map(id, chars)).items())
-        if len(ids) > counting._SCANNED_CHARACTERS:
-            assert counting._identity_tally(chars) is None
-        else:
-            assert list(counting._identity_tally(chars).items()) == ids
+    V = L.site_count
+    coset, left = action_coset(S3, first_proper_subgroup(S3)), action_left_mult(S3)
+    spin = su2_fundamental_rep(T)
+    charged = one_dim_to_rep(zn_charge_rep(Z4, 1))
+    cases = (
+        (Z4, PureGauge()),
+        (S3, ScalarMatter(coset)),
+        (T, FermionMatter((spin,), 2, "trivial")),
+        (T, FermionMatter((spin,), 1, "staggered")),
+        (Z4, FermionMatter((charged,), 1, zn_charge_rep(Z4, 3))),  # an explicit vacuum
+        (S3, ScalarMatterPerSite(tuple((coset, left, action_coset(S3, first_proper_subgroup(S3)),
+                                         left)[x * 5 // 7 % 4] for x in range(V)))),
+    )
+
+    def assert_tallied(chars):
+        assert [(id(ch), m) for ch, m in chars.tally] == list(Counter(map(id, chars)).items())
+
+    for G, matter in cases:
         cls = conjugacy_classes(G)
-        plain = count_general(G, cls, L, chars, require_nonnegative=False)
-        with monkeypatch.context() as m:
-            m.setattr(counting, "_identity_tally", lambda chars: None)
-            by_counter = count_general(G, cls, L, chars, require_nonnegative=False)
-        with monkeypatch.context() as m:
-            m.setattr(counting, "_SCANNED_CHARACTERS", len(ids))
-            by_scans = count_general(G, cls, L, chars, require_nonnegative=False)
-        _assert_same_report(plain, by_counter)
-        _assert_same_report(plain, by_scans)
+        chars = site_characters(matter, cls, V)
+        assert isinstance(chars, SiteCharacters) and len(chars) == V
+        assert_tallied(chars)
+        # the virtual site and the sink site, new objects or ones already there
+        virtual = constant_class_function(cls, 1)
+        regular = fixed_point_character(action_left_mult(G), cls)
+        for tail in ((virtual,), (virtual, chars[0]), (chars[-1], regular), (virtual,) * 3):
+            longer = chars.extended(*tail)
+            assert [*longer] == [*chars, *tail]
+            assert_tallied(longer)
+        assert_tallied(chars)  # extending made copies
+        _assert_same_report(count_general(G, cls, L, chars), count_general(G, cls, L, [*chars]))
+        attach = range(0, V, 5)
+        L2, sinks = dangling_boundary_extension(L, attach, G)
+        _assert_same_report(count(G, L, matter, dangling_attach=attach, classes=cls),
+                            count_general(G, cls, L2, [*chars, virtual], sinks))
+    # connected counts, untwisted and wrap-twisted, read the tally alone
+    for G, matter in cases[:5]:
+        cls = conjugacy_classes(G)
+        pattern = site_characters(matter, cls, 2)
+        hidden = _ReadPerSite(pattern, V // 2)
+        plain = [*pattern] * (V // 2)
+        flip = (inversion_endo(G) if G.is_abelian() else
+                inner_automorphism(G, next(g for g in range(G.order)
+                                           if G.mul(g, 1) != G.mul(1, g))))
+        for twist in (None, twist_on_wrap_edges(L, flip, 1),
+                      twist_on_wrap_edges(L, constant_identity_endo(G), 0)):
+            _assert_same_report(count_general(G, cls, L, hidden, twist),
+                                count_general(G, cls, L, plain, twist))
+            _assert_same_report(count(G, L, matter, twist=twist, classes=cls, site_chars=hidden),
+                                count(G, L, matter, twist=twist, classes=cls))
+    # a plain sequence is tallied by one pass of its own, in first-seen order
+    Z6 = cyclic_group(6)
+    one_each = zn_site_characters(6, [x * x % 6 for x in range(V)], conjugacy_classes(Z6))
+    assert not isinstance(one_each, SiteCharacters)
+    assert_tallied(SiteCharacters.of(one_each))
+    assert SiteCharacters.of(chars) is chars
+
+
+def test_site_characters_of_another_length_are_refused():
+    """count and total_hilbert_dim refuse a site character list of the wrong
+    length alike, naming the physical site count, dangling row or not."""
+    C4 = cyclic_group(4)
+    cls = conjugacy_classes(C4)
+    L = lattice_hypercubic((3, 3), periodic=False)
+    fermion = FermionMatter((one_dim_to_rep(zn_charge_rep(C4, 1)),))
+    assert total_hilbert_dim(C4, L, fermion, cls) == 2 ** 33  # 4^12 links, 2 states a site
+    chars = site_characters(fermion, cls, L.site_count)
+    for wrong in (chars[:4], [], [*chars, chars[0]]):
+        message = f"{len(wrong)} site characters for 9 sites"
+        with pytest.raises(BadParams, match=message):
+            total_hilbert_dim(C4, L, fermion, cls, site_chars=wrong)
+        for attach in (None, (0, 4)):
+            with pytest.raises(BadParams, match=message):
+                count(C4, L, fermion, classes=cls, dangling_attach=attach, site_chars=wrong)
 
 
 # ---------------------------------------------------------------------------

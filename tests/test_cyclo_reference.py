@@ -1,8 +1,8 @@
 """Seeded property test: the integer-numerator `Cyclotomic` gives the same
 order, coefficients, repr, rational value and complex value as the
 `Fraction`-coefficient reference in `cyclo_reference.py`, for every
-operation, on values of mixed orders up to 60; sigma_j and squaring keep
-every tuple the counting engine relies on."""
+operation, on values of mixed orders up to 60; sigma_j, squaring and
+rational powers keep every tuple the counting engine relies on."""
 
 from fractions import Fraction
 from math import gcd
@@ -149,6 +149,30 @@ def test_galois_and_squares_keep_every_tuple(case):
     assert copy is not a and exact(copy) == exact(a)
     assert exact(a * a) == exact(a * copy) == exact(copy * a)
     assert_same(a * a, ref_a * build(ref.Cyclotomic, a_spec))
+
+
+RATIONAL_BASES = st.one_of(st.just(0), st.integers(-30, 30),
+                           st.fractions(min_value=-30, max_value=30, max_denominator=40))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(RATIONAL_BASES, st.integers(-5, 300))
+def test_rational_powers_are_one_integer_power(base, k):
+    """A rational p/q to the k is p^k over q^k: the value of k products (of the
+    inverse, below 0) and of the reference, in lowest terms with a positive
+    denominator; zero to a negative power is refused."""
+    v, ref_v = Cyclotomic.rational(base), ref.Cyclotomic.rational(base)
+    if base == 0 and k < 0:
+        assert outcome(pow, v, k) is outcome(pow, ref_v, k) is ZeroDivisionError
+        return
+    got, want = v ** k, ref_v ** k
+    step, by_products = v if k >= 0 else v.inverse(), Cyclotomic.one()
+    for _ in range(abs(k)):
+        by_products = by_products * step
+    assert exact(got) == exact(by_products)
+    assert got.order == want.order == 1 and got.coeff_pairs() == want.coeff_pairs()
+    assert got.den > 0 and gcd(got.num[0], got.den) == 1
+    assert got.rational_value() == Fraction(base) ** k
 
 
 def test_divisors_in_ascending_order():

@@ -271,7 +271,7 @@ def test_sink_links_count_as_untwisted_links_into_a_regular_site(name, side, dat
     attach = data.draw(st.lists(st.integers(0, V - 1), min_size=1, max_size=V, unique=True))
     extended = LatticeGraph(V + 1, L.edges + tuple((a, V) for a in attach))
     # the regular character: the fixed points of G acting on itself
-    chars = site_characters(matter, cls, V) + [fixed_point_character(action_left_mult(G), cls)]
+    chars = [*site_characters(matter, cls, V), fixed_point_character(action_left_mult(G), cls)]
     assert count_general(G, cls, extended, chars).total == \
         count(G, L, matter, dangling_attach=attach, classes=cls).total
 
