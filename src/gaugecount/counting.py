@@ -56,7 +56,7 @@ from typing import Optional, Sequence
 
 from ._values import frozen
 from .autos import class_image
-from .cyclo import Cyclotomic
+from .cyclo import Cyclotomic, _int_pow
 from .errors import BadParams, GroupMismatch, NonIntegralResult
 from .groups import ConjugacyClassTable, FiniteGroup, conjugacy_classes, same_group
 from .lattice import LatticeGraph, TwistSpec, component_labels, dangling_boundary_extension
@@ -212,7 +212,7 @@ def count_general(G: FiniteGroup,
     # below gives a component a fresh row.  A row holds one integer power per
     # distinct class size, a Fraction only for a negative exponent
     exponents = [out_links[k] - sum(mult.values()) for k, mult in enumerate(multiplicity)]
-    power = {(s, e): (G.order // s) ** abs(e) for s in set(sizes) for e in set(exponents)}
+    power = {(s, e): _int_pow(G.order // s, abs(e)) for s in set(sizes) for e in set(exponents)}
     row_of = {e: [power[s, e] if e >= 0 else Fraction(1, power[s, e]) for s in sizes]
               for e in set(exponents)}
     weight = [row_of[e] for e in exponents]

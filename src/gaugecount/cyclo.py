@@ -13,6 +13,7 @@ to the smallest field that holds the value: the ring order of a result
 follows the order of the operations that made it.  `galois(j)`, sigma_j:
 zeta -> zeta^j for j prime to the order, keeps order, gcd and rationality, so
 sigma_j of a sum or product has the exact tuple of that of the images.
+`mat_mul_exact` is the one product of matrices of such values.
 """
 
 from __future__ import annotations
@@ -265,7 +266,7 @@ class Cyclotomic:
         if k < 0:
             return self.inverse() ** -k
         if self.order == 1:  # p/q in lowest terms: p^k and q^k are coprime too
-            return _value(1, (self.num[0] ** k,), self.den ** k)
+            return _value(1, (_int_pow(self.num[0], k),), _int_pow(self.den, k))
         result, base = None, self
         while k:
             if k & 1:
@@ -371,3 +372,30 @@ class Cyclotomic:
 
 _ZERO = _reduced(1, (0,), 1)
 _ONE = _reduced(1, (1,), 1)
+
+
+def _int_pow(b: int, e: int) -> int:
+    """b ** e for e >= 0, b's power of two raised as one shift, which int's power does not do."""
+    if not b:
+        return 0 ** e
+    t = (b & -b).bit_length() - 1  # the 2-adic valuation of b
+    return (b >> t) ** e << (t * e)
+
+
+def _mat_mul(a, b, zero):
+    """a @ b, each sum from its first term, skipping zero entries of a: a
+    permutation matrix costs d^2."""
+    out = []
+    for row in a:
+        acc = None
+        for x, brow in zip(row, b):
+            if x != zero:
+                acc = [x * y for y in brow] if acc is None else \
+                    [s + x * y for s, y in zip(acc, brow)]
+        out.append((zero,) * len(b[0]) if acc is None else tuple(acc))
+    return tuple(out)
+
+
+def mat_mul_exact(a, b):
+    """The product of two matrices of Cyclotomic entries, as row tuples."""
+    return _mat_mul(a, b, _ZERO)

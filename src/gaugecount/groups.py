@@ -17,12 +17,13 @@ deterministic.
 from __future__ import annotations
 
 import functools
+from fractions import Fraction
 from math import gcd, lcm
 from operator import getitem, itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
-from . import quaternions as qt
 from ._values import field, frozen
+from .cyclo import Cyclotomic, mat_mul_exact
 from .errors import (
     BadParams,
     ClosureOverflow,
@@ -45,9 +46,9 @@ class FiniteGroup:
     labels: tuple[str, ...]
     generators: tuple[int, ...]
     name: str = "G"
-    # unit-quaternion coordinates of each element, four integers over
-    # quaternions.DENOM, for groups built from quaternions (Q8, 2T, 2O, 2I)
-    quaternion_coords: Optional[tuple] = field(default=None, compare=False)
+    # the exact matrix of each element, for groups closed from matrices
+    # (the SU(2) matrices of Q8, 2T, 2O and 2I)
+    matrices: Optional[tuple] = field(default=None, compare=False)
 
     def mul(self, a: int, b: int) -> int:
         return self.mul_table[a][b]
@@ -220,20 +221,22 @@ def group_from_table(
 # ---------------------------------------------------------------------------
 # generic closure construction
 
-def _generated_elements(gens: Sequence, mul: Callable, max_order: int):
+def _generated_elements(gens: Sequence, mul: Callable, max_order: int, key: Callable):
     """BFS closure with the identity first: (elems, index, parent links,
-    gen_cols), where gen_cols[gi][x] is the index of elems[x] * gens[gi]."""
+    gen_cols), where index maps key(x) to the index of x and gen_cols[gi][x]
+    is the index of elems[x] * gens[gi]."""
     g0 = gens[0]
+    k0 = key(g0)
     prev, cur = g0, mul(g0, g0)
     steps = 1
-    while cur != g0:
+    while key(cur) != k0:
         prev, cur = cur, mul(cur, g0)
         steps += 1
         if steps > max_order:
             raise ClosureOverflow(f"generator order exceeds max_order={max_order}")
     ident = prev  # g^ord(g) just before the power walk revisits g
     elems = [ident]
-    index = {ident: 0}
+    index = {key(ident): 0}
     parent: list[tuple[int, int]] = [(-1, -1)]
     gen_cols: list[list[int]] = [[] for _ in gens]
     head = 0
@@ -241,13 +244,14 @@ def _generated_elements(gens: Sequence, mul: Callable, max_order: int):
         x = elems[head]
         for gi, g in enumerate(gens):
             y = mul(x, g)
-            if y not in index:
+            k = key(y)
+            if k not in index:
                 if len(elems) >= max_order:
                     raise ClosureOverflow(f"closure exceeds max_order={max_order}")
-                index[y] = len(elems)
+                index[k] = len(elems)
                 elems.append(y)
                 parent.append((head, gi))
-            gen_cols[gi].append(index[y])
+            gen_cols[gi].append(index[k])
         head += 1
     return elems, index, parent, gen_cols
 
@@ -268,11 +272,12 @@ def build_from_generators(
     return grp
 
 
-def _build_from_generators(gens, mul, max_order, labeler, name):
+def _build_from_generators(gens, mul, max_order, labeler, name, key=lambda x: x):
+    """The group and its elements in index order; key(x) is x's exact, hashable form."""
     if not gens:
         return trivial_group(), [None]
-    elems, index, parent, gen_cols = _generated_elements(gens, mul, max_order)
-    gen_idx = tuple(index[g] for g in gens)
+    elems, index, parent, gen_cols = _generated_elements(gens, mul, max_order, key)
+    gen_idx = tuple(index[key(g)] for g in gens)
     # parents precede their children, and y = p * s gives g*y = (g*p)*s for
     # each generator g, then y*z = p*(s*z) for every row
     gen_rows = [[g] for g in gen_idx]
@@ -362,42 +367,49 @@ def symmetric_group(n: int) -> FiniteGroup:
                                  labeler=label, name=f"S{n}")
 
 
-# quaternion coordinates are numerators over qt.DENOM = 4 (see quaternions)
-_HALF = (2, 0, 0, 0)
-_OMEGA = (_HALF, _HALF, _HALF, _HALF)  # (1+i+j+k)/2
-_I = (qt.QN_ZERO, qt.QN_ONE, qt.QN_ZERO, qt.QN_ZERO)
-_J = (qt.QN_ZERO, qt.QN_ZERO, qt.QN_ONE, qt.QN_ZERO)
+def _su2(w, x, y, z) -> tuple:
+    """The SU(2) matrix [[w+ix, y+iz], [-y+iz, w-ix]] of the unit quaternion w+xi+yj+zk."""
+    i = Cyclotomic.root_of_unity(4)
+    return ((w + i * x, y + i * z), (-y + i * z, w - i * x))
+
+
+_HALF = Fraction(1, 2)
+_OMEGA = _su2(_HALF, _HALF, _HALF, _HALF)  # (1+i+j+k)/2
+_I = _su2(0, 1, 0, 0)
 
 
 @functools.lru_cache(maxsize=None)
 def quaternion_group() -> FiniteGroup:
-    return _quaternion_closure([_I, _J], 8, "Q8")
+    return _su2_closure([_I, _su2(0, 0, 1, 0)], 8, 4, "Q8")
 
 
 @functools.lru_cache(maxsize=None)
 def binary_tetrahedral_group() -> FiniteGroup:
-    return _quaternion_closure([_OMEGA, _I], 24, "2T")
+    return _su2_closure([_OMEGA, _I], 24, 4, "2T")
 
 
 @functools.lru_cache(maxsize=None)
 def binary_octahedral_group() -> FiniteGroup:
-    hr2 = (0, 2, 0, 0)  # sqrt2/2
-    u = (hr2, hr2, qt.QN_ZERO, qt.QN_ZERO)  # (1+i)/sqrt2
-    return _quaternion_closure([_OMEGA, u], 48, "2O")
+    hr2 = (Cyclotomic.root_of_unity(8) - Cyclotomic.root_of_unity(8, 3)) * _HALF  # sqrt2/2
+    return _su2_closure([_OMEGA, _su2(hr2, hr2, 0, 0)], 48, 8, "2O")  # (1+i)/sqrt2
 
 
 @functools.lru_cache(maxsize=None)
 def binary_icosahedral_group() -> FiniteGroup:
-    # t = (phi + i/phi + j)/2 with phi the golden ratio
-    phi_half = (1, 0, 1, 0)       # phi/2
-    inv_phi_half = (-1, 0, 1, 0)  # 1/(2 phi)
-    t = (phi_half, inv_phi_half, _HALF, qt.QN_ZERO)
-    return _quaternion_closure([_OMEGA, t], 120, "2I")
+    # t = (phi + i/phi + j)/2 with phi the golden ratio: 1/phi = phi - 1 = (sqrt5 - 1)/2
+    h = (Cyclotomic.root_of_unity(5) + Cyclotomic.root_of_unity(5, 4)) * _HALF  # 1/(2 phi)
+    return _su2_closure([_OMEGA, _su2(h + _HALF, h, _HALF, 0)], 120, 20, "2I")
 
 
-def _quaternion_closure(gens: list, expected_order: int, name: str) -> FiniteGroup:
-    grp, elems = _build_from_generators(gens, qt.quat_mul, expected_order,
-                                        qt.quat_label, name)
+def _su2_closure(gens: list, expected_order: int, n: int, name: str) -> FiniteGroup:
+    """The group the SU(2) matrices gens generate, their entries in Q(zeta_n).
+    An element is keyed by its entries' numerators at order n and their
+    denominators, and labelled by its first row, which fixes an SU(2) matrix."""
+    def key(m):
+        return tuple((v._to_order(n), v.den) for row in m for v in row)
+
+    grp, elems = _build_from_generators(gens, mat_mul_exact, expected_order,
+                                        lambda m: str(m[0]), name, key)
     if grp.order != expected_order:
         raise NotAGroup(f"{name} closed at order {grp.order}, expected {expected_order}")
     return FiniteGroup(grp.order, grp.mul_table, grp.inv_table, grp.identity, grp.labels,

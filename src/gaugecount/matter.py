@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 from ._values import frozen
-from .cyclo import Cyclotomic
+from .cyclo import Cyclotomic, _mat_mul, mat_mul_exact
 from .errors import (
     BadParams,
     ClassInconsistency,
@@ -239,10 +239,6 @@ def exact_matrix(rows: Sequence[Sequence]) -> ExactMatrix:
     return tuple(tuple(_as_cyclo(v) for v in row) for row in rows)
 
 
-def mat_mul_exact(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    return _mat_mul(a, b, Cyclotomic.zero())
-
-
 def mat_identity_exact(n: int) -> ExactMatrix:
     one, zero = Cyclotomic.one(), Cyclotomic.zero()
     return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
@@ -250,18 +246,6 @@ def mat_identity_exact(n: int) -> ExactMatrix:
 
 def mat_to_complex(m: ExactMatrix) -> ComplexMatrix:
     return tuple(tuple(v.to_complex() for v in row) for row in m)
-
-
-def _mat_mul(a, b, zero):
-    """a @ b, skipping zero entries of a: a permutation matrix costs d^2."""
-    out = []
-    for row in a:
-        acc = [zero] * len(b[0])
-        for x, brow in zip(row, b):
-            if x != zero:
-                acc = [s + x * y for s, y in zip(acc, brow)]
-        out.append(tuple(acc))
-    return tuple(out)
 
 
 def _adjoint(m: ComplexMatrix) -> ComplexMatrix:
@@ -427,28 +411,10 @@ def dihedral_rotation_rep(G: FiniteGroup, n: int) -> UnitaryRep:
 
 
 def su2_fundamental_rep(G: FiniteGroup) -> UnitaryRep:
-    """2-dim rep from stored unit-quaternion coordinates (Q8 and binary groups)."""
-    from .quaternions import DENOM, QN
-
-    coords = G.quaternion_coords
-    if coords is None:
-        raise BadParams("group carries no quaternion coordinates")
-
-    r2 = Cyclotomic.root_of_unity(8) - Cyclotomic.root_of_unity(8, 3)
-    r5 = 2 * (Cyclotomic.root_of_unity(5) + Cyclotomic.root_of_unity(5, 4)) + 1
-    r10 = r2 * r5
-
-    def qn_cyclo(p: QN) -> Cyclotomic:
-        a, b, c, d = (Fraction(v, DENOM) for v in p)
-        return Cyclotomic.rational(a) + b * r2 + c * r5 + d * r10
-
-    i_unit = Cyclotomic.root_of_unity(4)
-    mats = []
-    for (w, x, y, z) in coords:
-        cw, cx, cy, cz = qn_cyclo(w), qn_cyclo(x), qn_cyclo(y), qn_cyclo(z)
-        mats.append(((cw + i_unit * cx, cy + i_unit * cz),
-                     (-cy + i_unit * cz, cw - i_unit * cx)))
-    return rep_from_exact(G, mats)
+    """The 2-dim rep of the SU(2) matrices Q8 and the binary groups are closed from."""
+    if G.matrices is None:
+        raise BadParams(f"group {G.name} carries no SU(2) matrices")
+    return rep_from_exact(G, G.matrices)
 
 
 def rep_direct_sum(a: UnitaryRep, b: UnitaryRep) -> UnitaryRep:

@@ -25,6 +25,7 @@ from gaugecount import (
     group_to_text,
     inversion_endo,
     parse_edge_list,
+    permutation_rep,
     rep_to_text,
     symmetric_group,
 )
@@ -323,6 +324,36 @@ def test_twist_combines_with_dangling_attach(tmp_path, capsys):
     total = payload["result"]["total"]
     assert main(["verify", "--config", cfg]) == 0
     assert f"OK: formula={total} oracle={total}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("matter", ["none", "fermion"])
+@pytest.mark.parametrize("group, endo, flavour", [
+    ({"family": "cyclic", "params": [4]}, "inversion", {"builtin": "zn_charge", "charge": 1}),
+    ({"family": "symmetric", "params": [3]}, {"inner": 1}, "left_mult"),
+    ({"family": "binary_tetrahedral"}, {"inner": 1}, {"builtin": "su2_fundamental"}),
+], ids=["Z4", "S3", "2T"])
+def test_repeated_indices_are_taken_as_documented(tmp_path, capsysbinary, matter, group,
+                                                  endo, flavour):
+    """A twist link listed twice is twisted once; a site attached twice gets
+    two sink links, and the second multiplies the total by |G|."""
+    if flavour == "left_mult":
+        rep = tmp_path / "perm.rep"
+        rep.write_text(rep_to_text(permutation_rep(action_left_mult(symmetric_group(3)))))
+        flavour = {"file": str(rep)}
+    base = {"group": group, "lattice": {"dims": [3]}}
+    if matter == "fermion":
+        base["matter"] = {"kind": "fermion", "flavours": [flavour]}
+
+    def report(**job):
+        cfg = write_config(tmp_path, dict(base, **job))
+        assert main(["count", "--config", cfg, "--format", "json", "--no-timestamp"]) == 0
+        return capsysbinary.readouterr().out
+
+    assert report(twist={"endo": endo, "edges": [0, 0]}) == \
+        report(twist={"endo": endo, "edges": [0]})
+    once = json.loads(report(dangling_attach=[0]))["result"]["total"]
+    twice = json.loads(report(dangling_attach=[0, 0]))["result"]["total"]
+    assert int(twice) == builtin_group(group["family"], group.get("params", ())).order * int(once)
 
 
 def _hyper(dims, periodic=True):
@@ -816,6 +847,8 @@ BASE_JOB = {"group": {"family": "cyclic", "params": [4]}, "lattice": {"dims": [2
      "fermion matter needs a nonempty 'flavours' list"),
     ({"twist": {"endo": "conjugation", "wrap_dim": 0}},
      "unknown endomorphism spec 'conjugation'"),
+    ({"matter": {"kind": "fermion", "flavours": [{"builtin": "su2_fundamental"}]}},
+     "group Z4 carries no SU(2) matrices"),
 ])
 def test_unbuildable_config_specs_exit_2(tmp_path, capsys, field, message):
     cfg = dict(BASE_JOB, **field)

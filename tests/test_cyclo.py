@@ -2,9 +2,11 @@
 
 import cmath
 import math
+import random
 from fractions import Fraction
 
 from gaugecount import Cyclotomic, cyclotomic_poly, euler_phi
+from gaugecount.cyclo import _int_pow
 
 
 def test_rational_constructors():
@@ -101,3 +103,15 @@ def test_root_of_unity_order_reduction():
 def test_equality_against_plain_ints():
     assert Cyclotomic.rational(2) == 2
     assert Cyclotomic.root_of_unity(4) != 1
+
+
+def test_int_pow_matches_the_builtin_power():
+    """Seeded: the power of two taken out as a shift leaves b ** e unchanged,
+    on zero, units, odd bases, powers of two, 120 and negatives."""
+    rng = random.Random(2025)
+    bases = [0, 1, -1, 3, -3, 7, 2 ** 61 - 1, 120, -120, 12, -40]
+    bases += [sign * 2 ** k for k in (1, 2, 7, 64) for sign in (1, -1)]
+    bases += [rng.randrange(-10 ** 6, 10 ** 6) for _ in range(12)]
+    for b in bases:
+        for e in [0, 1, 2, 3, 5000] + [rng.randrange(5001) for _ in range(8)]:
+            assert _int_pow(b, e) == b ** e, (b, e)

@@ -1,9 +1,11 @@
 """Group construction, validation, conjugacy classes, subgroups, cosets."""
 
+import hashlib
 import itertools
 import random
 import tracemalloc
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -51,7 +53,8 @@ from gaugecount import (
     trivial_group,
     validate_action,
 )
-from gaugecount.quaternions import DENOM, quat_mul
+
+import cyclo_reference as ref
 
 # latin square with identity 0 but no associativity: (1*1)*2 = 2, 1*(1*2) = 4
 LOOP5 = [
@@ -231,53 +234,51 @@ def test_binary_groups_have_unique_involution():
         assert center(G).order == 2
 
 
-def _surd_mul(p, q):
-    """(a + b r2 + c r5 + d r10)(a' + ...) over Fractions."""
-    a1, b1, c1, d1 = p
-    a2, b2, c2, d2 = q
-    return (a1 * a2 + 2 * b1 * b2 + 5 * c1 * c2 + 10 * d1 * d2,
-            a1 * b2 + b1 * a2 + 5 * c1 * d2 + 5 * d1 * c2,
-            a1 * c2 + c1 * a2 + 2 * b1 * d2 + 2 * d1 * b2,
-            a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2)
+# sha256 of repr((mul_table, inv_table, identity, generators)) as the groups
+# numbered their elements when closed from unit quaternions over Q[sqrt2, sqrt5]:
+# class representatives, automorphism witnesses and report bytes all read it
+SU2_NUMBERING = {
+    "quaternion": "cb2660b16e375ce5320aab68bd3b4489e84c6d2a2e99c3d1b680d144e018df75",
+    "binary_tetrahedral": "860925b9020eca673310a56ef8142c59444e1b6c28294827655f6e0911cf0ef2",
+    "binary_octahedral": "83f03f4e47408a7875862d13c2c2dbfd03f1a32fb5ab6af4ae6722cbd45e2a9d",
+    "binary_icosahedral": "127e1a78db1e8d4d31d41d80dfa211eada0edc39294de82318a35994d1986685",
+}
 
 
-def _surd_sum(*terms):
-    return tuple(sum(parts) for parts in zip(*terms))
+@pytest.mark.parametrize("family", SU2_NUMBERING)
+def test_su2_groups_keep_their_numbering(family):
+    G = builtin_group(family)
+    tables = repr((G.mul_table, G.inv_table, G.identity, G.generators)).encode()
+    assert hashlib.sha256(tables).hexdigest() == SU2_NUMBERING[family]
 
 
-def _hamilton(p, q):
-    (w1, x1, y1, z1), (w2, x2, y2, z2) = p, q
-
-    def neg(v):
-        return tuple(-c for c in v)
-
-    m = _surd_mul
-    return (_surd_sum(m(w1, w2), neg(m(x1, x2)), neg(m(y1, y2)), neg(m(z1, z2))),
-            _surd_sum(m(w1, x2), m(x1, w2), m(y1, z2), neg(m(z1, y2))),
-            _surd_sum(m(w1, y2), neg(m(x1, z2)), m(y1, w2), m(z1, x2)),
-            _surd_sum(m(w1, z2), m(x1, y2), neg(m(y1, x2)), m(z1, w2)))
+def _reference_matrix(m):
+    """An engine matrix read into the Fraction-coefficient reference arithmetic."""
+    return tuple(tuple(ref.Cyclotomic(v.order, tuple(Fraction(c, v.den) for c in v.num))
+                       for v in row) for row in m)
 
 
-def test_quaternion_coordinates_multiply_like_the_table():
-    """An independent Fraction quaternion product of the stored coordinates
-    lands on the table's entry for every product with a generator, and every
-    coordinate is a unit quaternion."""
-    for G in (quaternion_group(), binary_tetrahedral_group(),
-              binary_octahedral_group(), binary_icosahedral_group()):
-        coords = [tuple(tuple(Fraction(c, DENOM) for c in comp) for comp in q)
-                  for q in G.quaternion_coords]
-        assert len(set(coords)) == G.order
-        for q in coords:
-            assert _surd_sum(*(_surd_mul(c, c) for c in q)) == (1, 0, 0, 0)
-        for x in range(G.order):
-            for s in G.generators:
-                assert _hamilton(coords[x], coords[s]) == coords[G.mul(x, s)]
+def _reference_product(a, b):
+    return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(len(b))), ref.Cyclotomic.zero())
+                       for j in range(len(b[0]))) for i in range(len(a)))
 
 
-def test_quaternion_product_off_the_lattice_raises():
-    quarter = ((1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0))  # 1/4
-    with pytest.raises(NotAGroup):
-        quat_mul(quarter, quarter)
+def test_su2_matrices_multiply_like_the_table():
+    """Read into the reference arithmetic, independent of the engine's, the
+    stored matrices are distinct, unitary and of determinant 1, and x*s lands
+    on the table's entry for every generator s."""
+    one, zero = ref.Cyclotomic.one(), ref.Cyclotomic.zero()
+    for G in map(builtin_group, SU2_NUMBERING):
+        mats = [_reference_matrix(m) for m in G.matrices]
+        n = lcm(*(v.order for m in mats for row in m for v in row))
+        assert len({tuple(v._to_order(n) for row in m for v in row) for m in mats}) == G.order
+        for (a, b), (c, d) in mats:
+            adjoint = ((a.conjugate(), c.conjugate()), (b.conjugate(), d.conjugate()))
+            assert _reference_product(((a, b), (c, d)), adjoint) == ((one, zero), (zero, one))
+            assert a * d - b * c == one
+        for s in G.generators:
+            for x in range(G.order):
+                assert _reference_product(mats[x], mats[s]) == mats[G.mul(x, s)]
 
 
 def test_conjugacy_classes_cyclic():

@@ -281,6 +281,14 @@ def test_su2_fundamental_character():
         su2_fundamental_rep(cyclic_group(4))
 
 
+def test_su2_fundamental_needs_the_matrices_a_group_is_closed_from():
+    # a group loaded from its table keeps the numbering but not the matrices
+    loaded = group_from_text(group_to_text(binary_tetrahedral_group()))
+    for G in (cyclic_group(4), dihedral_group(4), loaded):
+        with pytest.raises(BadParams, match=r"carries no SU\(2\) matrices"):
+            su2_fundamental_rep(G)
+
+
 def test_rep_from_generator_images():
     G = cyclic_group(4)
     i = Cyclotomic.root_of_unity(4)

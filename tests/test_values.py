@@ -44,11 +44,11 @@ def _group_case():
     G = quaternion_group()
     fields = [(n, NO, True, True) for n in
               ("order", "mul_table", "inv_table", "identity", "labels", "generators")]
-    fields += [("name", "G", True, True), ("quaternion_coords", None, False, False)]
+    fields += [("name", "G", True, True), ("matrices", None, False, False)]
     values = tuple(getattr(G, n) for n, *_ in fields)
-    # a changed quaternion_coords is ignored; a changed name is not
+    # changed matrices are ignored; a changed name is not
     return (FiniteGroup, _reference(FiniteGroup, fields, __repr__=FiniteGroup.__repr__),
-            fields, values, {"quaternion_coords": ()}, {"name": "H"})
+            fields, values, {"matrices": ()}, {"name": "H"})
 
 
 def _lattice_case():
